@@ -363,8 +363,8 @@ func (s *Simulation) CheckpointGenerations(vc *VirtualCluster) []int {
 	return s.co.Generations(vc.Name())
 }
 
-// PruneCheckpoints deletes stored generations beyond the newest keep,
-// preserving incremental chains the kept generations depend on. It
+// PruneCheckpoints deletes stored generations beyond the newest keep.
+// Every generation is self-contained, so nothing older is needed. It
 // returns the number of image objects removed.
 func (s *Simulation) PruneCheckpoints(vc *VirtualCluster, keep int) int {
 	return s.co.PruneGenerations(vc.Name(), keep)

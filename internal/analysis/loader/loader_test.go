@@ -1,7 +1,10 @@
 package loader_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dvc/internal/analysis"
@@ -65,5 +68,37 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 	if clean {
 		fmt.Println("dvclint: module is clean")
+	}
+}
+
+// TestStateManifestIsCurrent fails when STATE_MANIFEST.txt no longer
+// matches the checkpoint state the module declares, the same check as
+// `go run ./cmd/dvclint -manifest STATE_MANIFEST.txt ./...`.
+func TestStateManifestIsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping whole-module manifest check in -short mode")
+	}
+	root, err := loader.ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modulePkgs []*analysis.Package
+	for _, pkg := range pkgs {
+		if analysis.InModule(pkg.PkgPath) {
+			modulePkgs = append(modulePkgs, pkg)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(root, "STATE_MANIFEST.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, analysis.StateManifest(modulePkgs)) {
+		t.Fatal("STATE_MANIFEST.txt is stale: checkpoint state changed; regenerate with\n" +
+			"  go run ./cmd/dvclint -write-manifest STATE_MANIFEST.txt ./...\n" +
+			"and review the diff as a checkpoint-format change")
 	}
 }

@@ -83,7 +83,7 @@ func lscEventDigest(t *testing.T, seed int64) string {
 		res.Generation, res.Attempts, res.SaveSkew, res.StoreTime, res.Downtime, res.FinishedAt)
 	for _, img := range res.Images {
 		fmt.Fprintf(h, "img domain=%s addr=%v ram=%d incremental=%v captured=%d\n",
-			img.DomainName, img.Addr, img.RAMBytes, img.Incremental, img.CapturedAt)
+			img.DomainName, img.Addr, img.RAMBytes, img.Pages != nil, img.CapturedAt)
 		snap, err := guest.DecodeImagePayload(img.Data)
 		if err != nil {
 			t.Fatalf("decoding image for %s: %v", img.DomainName, err)

@@ -169,7 +169,7 @@ func (in *Interpreter) cmdCluster(args []string) error {
 
 func (in *Interpreter) cmdLSC(args []string) error {
 	if len(args) < 1 {
-		return in.errf("usage: lsc ntp|naive [continue] [incremental]")
+		return in.errf("usage: lsc ntp|naive [continue] [incremental (delta epochs)]")
 	}
 	var cfg dvc.LSCConfig
 	switch args[0] {
@@ -185,7 +185,8 @@ func (in *Interpreter) cmdLSC(args []string) error {
 		case "continue":
 			cfg.ContinueAfterSave = true
 		case "incremental":
-			cfg.Incremental = true
+			// Incremental checkpoints are content-addressed delta epochs.
+			cfg.Delta = true
 		default:
 			return in.errf("unknown LSC option %q", opt)
 		}

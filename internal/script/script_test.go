@@ -60,6 +60,42 @@ assert-ok job1
 	}
 }
 
+// TestIncrementalLSCScript: the `incremental` keyword selects delta
+// epochs, and the newest epoch restores after a crash.
+func TestIncrementalLSCScript(t *testing.T) {
+	var out bytes.Buffer
+	in := New(4, &out)
+	err := in.Run(strings.NewReader(`
+cluster alpha 6
+start
+lsc ntp continue incremental
+alloc job1 3
+run job1 halo 6000 20ms 1024
+advance 2s
+checkpoint job1
+advance 5s
+checkpoint job1
+crash alpha-n01
+advance 5s
+teardown job1
+restore job1 1 alpha
+wait job1 2h
+assert-ok job1
+`))
+	if err != nil {
+		t.Fatalf("script failed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "checkpoint gen 1") || !strings.Contains(out.String(), "restored from gen 1") {
+		t.Fatalf("narrative missing:\n%s", out.String())
+	}
+	if !in.sim.Coordinator().Config().Delta {
+		t.Fatal("lsc ... incremental did not select delta epochs")
+	}
+	if got := in.sim.Manager().Store().DeltaWrites; got != 6 {
+		t.Fatalf("store delta writes %d, want 6 (2 epochs x 3 VMs)", got)
+	}
+}
+
 func TestMigrationScripts(t *testing.T) {
 	out, err := run(t, 3, `
 cluster alpha 2

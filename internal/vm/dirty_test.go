@@ -55,40 +55,6 @@ func TestPausedGuestDirtiesNothing(t *testing.T) {
 
 func time100() sim.Time { return 100 * sim.Second }
 
-func TestIncrementalImageSize(t *testing.T) {
-	e, d := bootedDomain(t)
-	d.SetDirtyRate(10e6)
-	d.MarkClean()
-	e.k.RunFor(5 * sim.Second) // 50 MB dirty
-	d.Pause()
-	img, err := d.CaptureIncrementalImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !img.Incremental {
-		t.Fatal("image not marked incremental")
-	}
-	meta := int64(1<<30) / 512
-	if img.SizeBytes() != 50_000_000+meta {
-		t.Fatalf("incremental size %d, want 50MB+%d meta", img.SizeBytes(), meta)
-	}
-	// The functional payload is still the complete guest.
-	if _, err := guest.DecodeImagePayload(img.Data); err != nil {
-		t.Fatalf("incremental image not self-contained: %v", err)
-	}
-	// A full image of the same domain is the whole RAM.
-	full, err := d.CaptureImage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.SizeBytes() != 1<<30 {
-		t.Fatalf("full size %d", full.SizeBytes())
-	}
-	if img.SizeBytes() >= full.SizeBytes() {
-		t.Fatal("incremental image not smaller than full")
-	}
-}
-
 func TestMarkCleanResetsDirtyAccounting(t *testing.T) {
 	e, d := bootedDomain(t)
 	d.SetDirtyRate(10e6)

@@ -3,6 +3,7 @@ package vm
 import (
 	"testing"
 
+	"dvc/internal/guest"
 	"dvc/internal/payload"
 	"dvc/internal/sim"
 )
@@ -113,11 +114,23 @@ func TestDeltaImageCarriesManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !img.Incremental || img.Pages == nil {
-		t.Fatalf("delta image: incremental=%v pages=%v", img.Incremental, img.Pages)
+	if img.Pages == nil {
+		t.Fatal("delta image carries no page table")
 	}
 	if img.SizeBytes() != 50_000_000+(1<<30)/512 {
 		t.Fatalf("delta modelled size %d", img.SizeBytes())
+	}
+	// The functional payload is still the complete guest.
+	if _, err := guest.DecodeImagePayload(img.Data); err != nil {
+		t.Fatalf("delta image not self-contained: %v", err)
+	}
+	// A full image of the same domain is the whole RAM.
+	full, err := d.CaptureImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.SizeBytes() != d.RAMBytes() {
+		t.Fatalf("full size %d, want RAM %d", full.SizeBytes(), d.RAMBytes())
 	}
 	var total int64
 	for _, ref := range img.Pages.AppendManifest(nil) {
