@@ -5,6 +5,7 @@
 //	dvcsim -list
 //	dvcsim -exp E1 [-seed 42] [-trials 20]
 //	dvcsim -exp all [-full] [-parallel 8]
+//	dvcsim -exp PSCALE -parallel 4        # one sub-kernel per datacenter
 //	dvcsim -exp E2 -trials 1 -trace e2.jsonl -perfetto e2.json
 //	dvcsim -exp E2 -report out/           # self-contained run artifact
 //	dvcsim -exp E2 -trace e2.jsonl -sample-every 10 -filter-type lsc,vm
@@ -14,14 +15,13 @@
 // against the paper's reported results. The exit status is non-zero if
 // any check fails.
 //
-// Independent trials fan out across a worker pool (-parallel; default one
-// worker per core). Every table, check and trace byte is identical for
-// any -parallel value — only wall-clock time changes. -partitions N
-// selects the partitioned simulation engine (one sub-kernel per
-// topology zone under conservative-lookahead sync, N bounding how many
-// run concurrently); output is likewise identical for any value,
-// including 0 (the serial kernel). -cpuprofile and -memprofile write
-// pprof profiles of the run.
+// -parallel N bounds the worker pool (default one worker per core):
+// independent trials fan out across it, and on multi-datacenter
+// topologies (PSCALE) it bounds how many partition sub-kernels run
+// concurrently under conservative-lookahead sync. The topology, not a
+// flag, selects the partitioned engine. Every table, check and trace
+// byte is identical for any -parallel value — only wall-clock time
+// changes. -cpuprofile and -memprofile write pprof profiles of the run.
 //
 // With -trace a deterministic event trace of the run is streamed as
 // JSONL through a fixed-size buffer (same seed, same flags =>
@@ -73,8 +73,7 @@ func run() int {
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		trials   = flag.Int("trials", 0, "trial count for statistical experiments (0 = default)")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow: E2 runs >2000 trials)")
-		parallel = flag.Int("parallel", 0, "worker pool size for independent trials (0 = one per core, 1 = serial); output is identical for any value")
-		parts    = flag.Int("partitions", 0, "partitioned simulation engine: bound on concurrent partition sub-kernels (0 = serial kernel); output is identical for any value")
+		parallel = flag.Int("parallel", 0, "worker pool size for independent trials and partition sub-kernels (0 = one per core, 1 = serial); output is identical for any value")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		jsonOut  = flag.Bool("json", false, "emit results as JSON instead of tables")
 		traceOut = flag.String("trace", "", "stream a deterministic JSONL event trace to this file")
@@ -132,7 +131,7 @@ func run() int {
 		return 0
 	}
 
-	opts := dvc.ExperimentOptions{Seed: *seed, Trials: *trials, Full: *full, Parallel: *parallel, Partitions: *parts, Out: os.Stdout}
+	opts := dvc.ExperimentOptions{Seed: *seed, Trials: *trials, Full: *full, Parallel: *parallel, Out: os.Stdout}
 	if *jsonOut {
 		opts.Out = nil // tables land in the JSON document instead
 	} else {

@@ -5,14 +5,15 @@ import (
 	"go/types"
 )
 
-// FleetScope verifies the fleet concurrency sanction structurally.
-// internal/fleet is the one package allowed to use goroutines (trials
-// are embarrassingly parallel and each worker owns its trial's entire
-// simulation world), and until now the rule "kernels never cross
-// goroutines" lived in a comment in rules.go. This analyzer checks it:
-// a function literal passed to a fleet entry point (fleet.Map,
-// fleet.ForEach, or the experiments wrapper forEachTrial) must not
-// capture a variable whose type reaches simulation kernel state —
+// FleetScope verifies the concurrency sanction structurally.
+// internal/fleet and internal/sim/partition are the two packages allowed
+// to use goroutines (trials are embarrassingly parallel and each worker
+// owns its trial's entire simulation world; each partition driver owns
+// its sub-kernel), and the rule "kernels never cross goroutines" would
+// otherwise live only in a comment in rules.go. This analyzer checks it:
+// a function literal passed to a worker entry point (fleet.Map, the
+// experiments wrapper forEachTrial, or partition.Coordinator.Run) must
+// not capture a variable whose type reaches simulation kernel state —
 // sim.Kernel, sim.Timer, or math/rand.Rand, directly or through struct
 // fields, pointers, slices, arrays or maps.
 //
@@ -28,8 +29,8 @@ import (
 // rule via their receiver.
 var FleetScope = &Analyzer{
 	Name: "fleetscope",
-	Doc: "closures passed to fleet.Map/ForEach must not capture kernel " +
-		"state (sim.Kernel, sim.Timer, *rand.Rand) across goroutines",
+	Doc: "closures passed to fleet.Map/forEachTrial/Coordinator.Run must not " +
+		"capture kernel state (sim.Kernel, sim.Timer, *rand.Rand) across goroutines",
 	Run: runFleetScope,
 }
 

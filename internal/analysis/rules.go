@@ -26,10 +26,11 @@ func ByName(name string) *Analyzer {
 // cmd/ CLIs and examples/ may legitimately read the host clock to report
 // progress to a human.
 //
-// dvc/internal/fleet is DELIBERATELY absent: it is the single sanctioned
-// concurrency package in the module — the bounded worker pool that fans
-// independent trials across cores. The sanction rests on two structural
-// properties fleet's API enforces and `go test -race ./...` checks:
+// dvc/internal/fleet is DELIBERATELY absent: it is one of the two
+// sanctioned concurrency packages in the module (sim/partition, below, is
+// the other) — the bounded worker pool that fans independent trials
+// across cores. The sanction rests on two structural properties fleet's
+// API enforces and `go test -race ./...` checks:
 //
 //  1. Kernels never cross goroutines. Each trial closure builds its own
 //     sim.Kernel (and everything hanging off it) and tears it down before
@@ -38,7 +39,7 @@ func ByName(name string) *Analyzer {
 //     to fleet entry points must not capture kernel-reaching state.
 //  2. Results merge in index order. fleet.Map returns results indexed by
 //     trial number, and all aggregation happens on the caller's goroutine
-//     after Map returns — so tables, checks and spliced traces are
+//     after Map returns — so tables, checks and merged traces are
 //     byte-identical to a serial loop regardless of worker count.
 //
 // dvc/internal/sim/partition is absent under the same sanction, for the
@@ -56,11 +57,11 @@ func ByName(name string) *Analyzer {
 //     sequence) order at barriers whose placement is a pure function of
 //     the event schedule, so any worker count replays byte-identically.
 //
-// Any other concurrency belongs in fleet or nowhere. Do not add fleet or
-// sim/partition to this map (noconcurrency would reject their own
-// implementations), and do not copy their worker-pool or barrier idioms
-// into a simulation package (the noconcurrency fixture proves both
-// shapes are still flagged there).
+// Any other concurrency belongs in fleet or sim/partition, or nowhere.
+// Do not add fleet or sim/partition to this map (noconcurrency would
+// reject their own implementations), and do not copy their worker-pool
+// or barrier idioms into a simulation package (the noconcurrency fixture
+// proves both shapes are still flagged there).
 var simPackages = map[string]bool{
 	"dvc":                   true, // library facade (dvc.go, rm.go)
 	"dvc/internal/sim":      true,

@@ -5,10 +5,7 @@ import (
 
 	"dvc/internal/clock"
 	"dvc/internal/core"
-	"dvc/internal/guest"
-	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
-	"dvc/internal/mpi"
 	"dvc/internal/obs"
 	"dvc/internal/sim"
 	"dvc/internal/tcp"
@@ -17,37 +14,6 @@ import (
 func init() {
 	register("A1", "Ablation: the TCP retry budget sets the LSC failure cliff", runA1)
 	register("A2", "Ablation: how much clock error NTP-scheduled LSC tolerates", runA2)
-}
-
-// lscTrialWith is lscTrial with custom transport/clock configuration.
-func lscTrialWith(seed int64, nodes int, o bedOptions) lscTrialResult {
-	b := makeBed(seed, o)
-	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1500, 20*sim.Millisecond, 4096) })
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
-	out := lscTrialResult{}
-	if res == nil {
-		out.reason = "checkpoint never completed"
-		return out
-	}
-	out.skew = res.SaveSkew
-	out.downtime = res.Downtime
-	out.attempts = res.Attempts
-	if !res.OK {
-		out.reason = res.Reason
-		return out
-	}
-	if err := core.InspectImages(res.Images); err != nil {
-		out.reason = err.Error()
-		return out
-	}
-	if !b.runJob(vc, 2*sim.Hour).AllOK() {
-		out.reason = "job failed after restore"
-		return out
-	}
-	out.ok = true
-	return out
 }
 
 // runA1 ablates the design constant DESIGN.md calls out: LSC's entire
@@ -102,7 +68,7 @@ func runA1(opts Options) *Result {
 		}
 	}
 	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) lscTrialResult {
-		return lscTrialWith(specs[i].seed, nodes, specs[i].o)
+		return lscTrial(specs[i].seed, nodes, specs[i].o)
 	})
 	failAt := map[int]float64{}
 	for ri, retries := range retriesList {
@@ -174,7 +140,7 @@ func runA2(opts Options) *Result {
 		}
 	}
 	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) lscTrialResult {
-		return lscTrialWith(specs[i].seed, nodes, specs[i].o)
+		return lscTrial(specs[i].seed, nodes, specs[i].o)
 	})
 	for ri, residual := range residuals {
 		failures := 0

@@ -31,25 +31,17 @@ type Options struct {
 	// run (internal/obs). One tracer may span every trial of an
 	// experiment; virtual time restarts per trial and the exporters
 	// re-sort. Under parallel trial execution each trial records into a
-	// private child tracer and the children are spliced back in trial
+	// private child tracer and the children are merged back in trial
 	// order, so the trace bytes do not depend on Parallel. Experiments
 	// that do not support tracing ignore it.
 	Tracer *obs.Tracer
-	// Parallel bounds the worker pool for independent trials
-	// (internal/fleet). 0 = one worker per core (GOMAXPROCS); 1 = run
-	// trials inline on the calling goroutine. Every table, shape check
-	// and trace byte is identical for any value — only wall-clock time
-	// changes.
+	// Parallel bounds the worker pool: independent trials
+	// (internal/fleet) and, on multi-datacenter topologies, the
+	// partition sub-kernels (internal/sim/partition). 0 = one worker per
+	// core (GOMAXPROCS); 1 = run serially on the calling goroutine.
+	// Every table, shape check and trace byte is identical for any
+	// value — only wall-clock time changes.
 	Parallel int
-	// Partitions selects the partitioned simulation engine
-	// (internal/sim/partition): 0 = the plain serial kernel; > 0 = gated
-	// execution, with the value bounding how many partition sub-kernels
-	// run concurrently. Logical partitioning is fixed by the topology
-	// (one partition per datacenter/zone), never by this knob, so every
-	// table, trace byte and digest is identical at any value — including
-	// 0, because single-zone beds self-gate through a window that
-	// provably preserves the serial schedule (partition.Single).
-	Partitions int
 }
 
 func (o Options) out() io.Writer {
@@ -73,9 +65,10 @@ func (o Options) workers() int {
 // byte-identical output to a serial for-loop.
 //
 // Each invocation receives a private child tracer (nil when opts.Tracer
-// is nil); after all trials finish the children are spliced back into
-// opts.Tracer in trial order, preserving the byte-identical JSONL replay
-// contract under parallelism.
+// is nil); after all trials finish each child is merged into opts.Tracer
+// on its own, in trial order, so the parent sees exactly the serial
+// loop's emission order — the byte-identical JSONL replay contract
+// under parallelism.
 //
 // fn must be self-contained: build your own bed/kernel from the trial's
 // seed, trace only through tr, and return all measurements — never write
@@ -87,7 +80,9 @@ func forEachTrial[T any](opts Options, n int, fn func(trial int, tr *obs.Tracer)
 		children[i] = opts.Tracer.Child()
 		return fn(i, children[i])
 	})
-	opts.Tracer.Splice(children...)
+	for _, c := range children {
+		opts.Tracer.Merge(c)
+	}
 	return out
 }
 

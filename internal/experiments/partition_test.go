@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -12,32 +13,14 @@ import (
 	"dvc/internal/obs"
 )
 
-// These tests enforce the partitioned-engine determinism contract: the
-// same experiment must externalize byte-identical output on the serial
-// kernel, on the gated engine, and at every sub-kernel worker count. The
-// mechanism under test is conservative-lookahead synchronization
-// (internal/sim/partition): logical partitions are fixed by the
-// topology, cross-partition messages execute in (arrival time, source
-// partition, source sequence) order at deterministic barriers, and the
-// per-partition traces merge by (virtual time, partition, sequence) —
-// never by goroutine arrival order.
-
-// e2Partitioned runs a scaled-down traced E2 on the selected engine and
-// returns every byte it externalizes.
-func e2Partitioned(t *testing.T, seed int64, partitions int) (tables []byte, checks []Check, trace []byte, registry string) {
-	t.Helper()
-	tr := obs.NewTracer()
-	var tbl bytes.Buffer
-	res, err := Run("E2", Options{Seed: seed, Trials: 2, Parallel: 1, Partitions: partitions, Out: &tbl, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return tbl.Bytes(), res.Checks, buf.Bytes(), tr.Registry().Table().String()
-}
+// These tests enforce the partitioned-engine determinism contract: a
+// multi-datacenter run must externalize byte-identical output at every
+// sub-kernel worker count. The mechanism under test is
+// conservative-lookahead synchronization (internal/sim/partition):
+// logical partitions are fixed by the topology, cross-partition messages
+// execute in (arrival time, source partition, source sequence) order at
+// deterministic barriers, and the per-partition traces merge by (virtual
+// time, partition, sequence) — never by goroutine arrival order.
 
 // diffTraces fails with the first diverging JSONL line.
 func diffTraces(t *testing.T, label string, a, b []byte) {
@@ -54,38 +37,14 @@ func diffTraces(t *testing.T, label string, a, b []byte) {
 	t.Fatalf("%s: JSONL traces differ in length: %d vs %d lines", label, len(la), len(lb))
 }
 
-// TestPartitionedMatchesSerial: the tentpole acceptance property.
-//
-// Part one: E2 (single zone, so the gated engine self-gates through
-// partition.Single) on the serial kernel vs Partitions=2 vs Partitions=4
-// — tables, shape checks, JSONL trace and registry snapshot must all be
-// byte-identical.
-//
-// Part two: the multi-DC partitioned scale run at sub-kernel worker
-// counts 1, 2 and 4 — traces and every reported stat must be identical,
-// with real cross-partition traffic flowing (Forwarded > 0).
+// TestPartitionedMatchesSerial: the multi-DC partitioned scale run at
+// sub-kernel worker counts 1, 2 and 4 — traces and every reported stat
+// must be identical, with real cross-partition traffic flowing
+// (Forwarded > 0). The registry wrapper must thread Options.Parallel
+// through as the worker count and Options.Tracer through unchanged,
+// without changing a table, check or trace byte.
 func TestPartitionedMatchesSerial(t *testing.T) {
 	const seed = 20070917
-	tabS, checksS, traceS, regS := e2Partitioned(t, seed, 0)
-	for _, parts := range []int{2, 4} {
-		tabP, checksP, traceP, regP := e2Partitioned(t, seed, parts)
-		if !bytes.Equal(tabS, tabP) {
-			t.Errorf("E2 tables differ between serial and partitions=%d:\n--- serial ---\n%s\n--- partitioned ---\n%s", parts, tabS, tabP)
-		}
-		if len(checksS) != len(checksP) {
-			t.Fatalf("E2 check counts differ: serial %d, partitions=%d %d", len(checksS), parts, len(checksP))
-		}
-		for i := range checksS {
-			if checksS[i] != checksP[i] {
-				t.Errorf("E2 check %d differs at partitions=%d:\n  serial:      %+v\n  partitioned: %+v", i, parts, checksS[i], checksP[i])
-			}
-		}
-		diffTraces(t, fmt.Sprintf("E2 serial vs partitions=%d", parts), traceS, traceP)
-		if regS != regP {
-			t.Errorf("E2 registry snapshots differ at partitions=%d:\n--- serial ---\n%s\n--- partitioned ---\n%s", parts, regS, regP)
-		}
-	}
-
 	spec := ScaleSpec{DCs: 2, ClustersPerDC: 5, HostsPerCluster: 26}
 	type pOut struct {
 		res   *PScaleResult
@@ -120,6 +79,40 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 			t.Errorf("PSCALE results differ at workers=%d:\n  workers=1: %+v\n  workers=%d: %+v", workers, *base.res, workers, *got.res)
 		}
 	}
+
+	// The registry wrapper: Run("PSCALE") at Parallel 1 vs 3. Its default
+	// shape is spec, so the trace must also match the direct call's.
+	type wOut struct {
+		tables, trace []byte
+		checks        []Check
+	}
+	runExp := func(parallel int) wOut {
+		tr := obs.NewTracer()
+		var tbl bytes.Buffer
+		res, err := Run("PSCALE", Options{Seed: seed, Parallel: parallel, Out: &tbl, Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return wOut{tables: tbl.Bytes(), trace: buf.Bytes(), checks: res.Checks}
+	}
+	serial, par := runExp(1), runExp(3)
+	if !bytes.Equal(serial.tables, par.tables) {
+		t.Errorf("PSCALE tables differ between Parallel 1 and 3:\n--- 1 ---\n%s\n--- 3 ---\n%s", serial.tables, par.tables)
+	}
+	if !reflect.DeepEqual(serial.checks, par.checks) {
+		t.Errorf("PSCALE checks differ between Parallel 1 and 3:\n  1: %+v\n  3: %+v", serial.checks, par.checks)
+	}
+	for _, c := range serial.checks {
+		if !c.OK {
+			t.Errorf("PSCALE check failed: %+v", c)
+		}
+	}
+	diffTraces(t, "PSCALE direct vs Run at Parallel 1", base.trace, serial.trace)
+	diffTraces(t, "PSCALE Parallel 1 vs 3", serial.trace, par.trace)
 }
 
 // BenchmarkPartitionSpeedup measures the partitioned scale run at 260

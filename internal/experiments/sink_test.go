@@ -74,7 +74,7 @@ func TestStreamingSinkMatchesMemorySink(t *testing.T) {
 }
 
 // TestStreamedRegistryMatchesMemory: the registry and series travel the
-// same splice path as records; streaming must not change them.
+// same merge path as records; streaming must not change them.
 func TestStreamedRegistryMatchesMemory(t *testing.T) {
 	const seed = 20070917
 	memTr := obs.NewTracer()

@@ -4,7 +4,8 @@
 // aggregation order — and therefore every table, digest and shape check —
 // is byte-for-byte identical to a serial loop.
 //
-// fleet is the single sanctioned concurrency package in the module (see
+// fleet is one of the module's two sanctioned concurrency packages; the
+// other is internal/sim/partition, the partitioned engine's barrier (see
 // internal/analysis/rules.go). The determinism contract survives because
 // of two structural properties:
 //
@@ -127,13 +128,4 @@ func Map[T any](workers, n int, fn func(trial int) T) []T {
 		panic(first)
 	}
 	return out
-}
-
-// ForEach is Map for closures without a result: it runs fn for every
-// trial index with the same pooling, ordering and panic semantics.
-func ForEach(workers, n int, fn func(trial int)) {
-	Map(workers, n, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
 }

@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+
+	"dvc/internal/sim"
 )
 
 // TestMergeMatchesSerialEmission: recording each partition's events into
@@ -110,10 +113,13 @@ func TestMergeDeterministic(t *testing.T) {
 	}
 }
 
-// TestMergeNilSafety: nil parents and nil children are inert, matching
-// Splice.
+// TestMergeNilSafety: nil parents, nil children and the Child of a nil
+// parent are all inert, so untraced runs never allocate.
 func TestMergeNilSafety(t *testing.T) {
 	var nilT *Tracer
+	if nilT.Child() != nil {
+		t.Fatal("nil.Child() must be nil")
+	}
 	nilT.Merge(NewTracer()) // must not panic
 
 	parent := NewTracer()
@@ -135,4 +141,138 @@ func TestMergeRejectsStreamingChild(t *testing.T) {
 	}()
 	var buf bytes.Buffer
 	NewTracer().Merge(NewTracerWithSink(NewJSONLSink(&buf, 0)))
+}
+
+// emitTrial records a representative per-trial event mix (instants, a
+// nested span pair, counters, registry updates) onto tr.
+func emitTrial(tr *Tracer, trial int) {
+	base := sim.Time(trial) * sim.Second
+	node := fmt.Sprintf("n%d", trial)
+	tr.Emit(base, EvVMBoot, node, "vm0", "boot", Int("trial", int64(trial)))
+	outer := tr.Begin(base+1, EvLSCEpoch, "", "t", "epoch", Int("gen", 0))
+	inner := tr.Begin(base+2, EvLSCStore, "", "t", "store")
+	tr.Counter(base+3, EvSimProbe, node, "", "queue", float64(trial))
+	tr.End(base+4, inner, Str("outcome", "ok"))
+	tr.End(base+5, outer, Str("outcome", "commit"))
+	tr.Inc("trials", 1)
+	tr.Gauge("last_trial", float64(trial))
+	tr.Observe("skew_ms", float64(trial)*0.5)
+}
+
+// TestMergePerChildMatchesSerialEmission: recording N trials into
+// per-trial child tracers and merging them back one child per call, in
+// trial order, must produce the exact bytes (JSONL) and registry
+// snapshot of recording the same trials sequentially into one tracer —
+// the property that keeps parallel trial execution byte-identical to
+// the serial loop.
+func TestMergePerChildMatchesSerialEmission(t *testing.T) {
+	const trials = 5
+
+	serial := NewTracer()
+	for i := 0; i < trials; i++ {
+		emitTrial(serial, i)
+	}
+
+	parent := NewTracer()
+	children := make([]*Tracer, trials)
+	for i := 0; i < trials; i++ {
+		children[i] = parent.Child()
+		emitTrial(children[i], i)
+	}
+	for _, c := range children {
+		parent.Merge(c)
+	}
+
+	var a, b bytes.Buffer
+	if err := serial.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("merged trace differs from serial emission:\nserial:\n%s\nmerged:\n%s", a.String(), b.String())
+	}
+
+	// Seqs must be dense from 0 and span references intact.
+	for i, r := range parent.Records() {
+		if r.Seq != uint64(i) {
+			t.Fatalf("record %d has seq %d (seqs must be re-assigned densely)", i, r.Seq)
+		}
+		if r.Ph == PhaseBegin && r.Span != r.Seq {
+			t.Fatalf("begin record %d has span %d, want self-reference", i, r.Span)
+		}
+		if r.Ph == PhaseEnd {
+			begin := parent.Records()[r.Span]
+			if begin.Ph != PhaseBegin || begin.Type != r.Type || begin.Name != r.Name {
+				t.Fatalf("end record %d references seq %d which is not its begin", i, r.Span)
+			}
+		}
+	}
+
+	// Registry: counters added, gauges last-write-wins, histograms merged.
+	sa, sb := serial.Registry().Snapshot(), parent.Registry().Snapshot()
+	if fmt.Sprint(sa) != fmt.Sprint(sb) {
+		t.Fatalf("registry snapshots diverge:\nserial: %v\nmerged: %v", sa, sb)
+	}
+	if got := parent.Registry().Counter("trials"); got != trials {
+		t.Errorf("counter merge: got %v, want %d", got, trials)
+	}
+	if got := parent.Registry().GaugeValue("last_trial"); got != trials-1 {
+		t.Errorf("gauge merge is not last-write-wins: got %v", got)
+	}
+	if got := parent.Registry().Histogram("skew_ms").N(); got != trials {
+		t.Errorf("histogram merge: got %d observations, want %d", got, trials)
+	}
+}
+
+// TestMergeInterleavedWithDirectEmission: records emitted directly on
+// the parent before and after a merge keep a single dense seq space.
+func TestMergeInterleavedWithDirectEmission(t *testing.T) {
+	parent := NewTracer()
+	parent.Emit(0, EvVMBoot, "n0", "vm0", "boot")
+	c := parent.Child()
+	emitTrial(c, 1)
+	parent.Merge(c)
+	parent.Emit(sim.Hour, EvVMDestroy, "n0", "vm0", "destroy")
+	for i, r := range parent.Records() {
+		if r.Seq != uint64(i) {
+			t.Fatalf("record %d has seq %d", i, r.Seq)
+		}
+	}
+	if got := parent.Len(); got != c.Len()+2 {
+		t.Fatalf("parent has %d records, want %d", got, c.Len()+2)
+	}
+}
+
+// TestMergeIntoStreamingParent: children merged one per call into a
+// streaming parent stream out the serial bytes, and their registries
+// still merge.
+func TestMergeIntoStreamingParent(t *testing.T) {
+	// Serial reference: everything emitted on one memory tracer.
+	serial := NewTracer()
+	emitFixture(serial)
+	emitFixture(serial)
+	var want bytes.Buffer
+	if err := serial.WriteJSONL(&want); err != nil {
+		t.Fatal(err)
+	}
+
+	// Streaming parent; two children merged in order.
+	var got bytes.Buffer
+	parent := NewTracerWithSink(NewJSONLSink(&got, 128))
+	c1, c2 := parent.Child(), parent.Child()
+	emitFixture(c1)
+	emitFixture(c2)
+	parent.Merge(c1)
+	parent.Merge(c2)
+	if err := parent.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("merged streaming output differs from serial:\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
+	}
+	if parent.Registry().Counter("lsc.commits") != 2 {
+		t.Fatalf("registry merge lost counts: %v", parent.Registry().Counter("lsc.commits"))
+	}
 }

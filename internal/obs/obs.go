@@ -369,13 +369,15 @@ func (t *Tracer) counter(ts sim.Time, typ EventType, node, dom, name string, v f
 }
 
 // Child returns a fresh, empty memory-backed tracer intended for one
-// parallel trial. A nil (disabled) parent returns a nil child, so
-// untraced runs stay untraced all the way down. Children are independent
-// single-threaded tracers; after the trial completes, hand them back to
-// the parent with Splice in trial order. Children buffer in memory by
-// design — splicing needs the whole trial in order — so the parent's
-// sink (streaming or otherwise) sees one trial at a time, in trial
-// order.
+// parallel trial or one partition. A nil (disabled) parent returns a nil
+// child, so untraced runs stay untraced all the way down. Children are
+// independent single-threaded tracers; when they finish, hand them back
+// to the parent with Merge. Independent trials merge one child per call
+// in trial order, which appends each trial's records whole — the serial
+// loop's emission order; a partitioned run merges all of its partitions
+// in one call, which interleaves them by virtual time. Children buffer in
+// memory by design — a merge needs the whole child — so the parent's
+// sink (streaming or otherwise) sees finished children only.
 func (t *Tracer) Child() *Tracer {
 	if t == nil {
 		return nil
@@ -383,73 +385,36 @@ func (t *Tracer) Child() *Tracer {
 	return NewTracer()
 }
 
-// Splice appends each child's records to t in argument order, exactly as
-// if every event had been emitted directly on t: sequence numbers are
-// re-assigned densely in splice order and span references (Begin's
-// self-reference, End's back-reference) are remapped by the same offset,
-// so begin/end pairing — and therefore the exporters' byte output — is
-// preserved. Child registries merge in the same order: counters add,
-// gauges take the later child's value (last-write-wins, as a serial run
-// would), histograms append their observations. Child series rows append
-// in the same order.
-//
-// This is what keeps the JSONL replay contract byte-identical under
-// parallel trial execution: trials record into private children
-// concurrently, and the parent splices them back in trial-index order,
-// reproducing the emission order of the serial loop — and with a
-// streaming parent sink the records flow straight out, so the parent
-// never holds more than the sink's fixed buffer. Nil children (from a
-// disabled parent, or trials skipped by a panic) are ignored; calling
-// Splice on a nil tracer is a no-op. Children must be memory-backed
-// (Child guarantees this).
-func (t *Tracer) Splice(children ...*Tracer) {
-	if t == nil {
-		return
-	}
-	for _, c := range children {
-		if c == nil {
-			continue
-		}
-		if c.mem == nil {
-			panic("obs: Splice child is not memory-backed; children must come from Child()")
-		}
-		off := t.next
-		for i := range c.mem.recs {
-			r := c.mem.recs[i]
-			r.Seq += off
-			if r.Ph == PhaseBegin || r.Ph == PhaseEnd {
-				r.Span += off
-			}
-			t.write(&r)
-		}
-		t.next = off + uint64(len(c.mem.recs))
-		t.reg.merge(c.reg)
-		t.series.Merge(c.series)
-	}
-}
-
 // Merge interleaves the children's records into t ordered by
 // (virtual time, child index, child sequence) — the canonical ordering
 // of a partitioned run, where each child is one partition's private
-// tracer. Unlike Splice (which concatenates whole children), Merge
-// produces the single global schedule: records of different partitions
-// sort by timestamp, ties break on the stable partition index given by
-// argument order, and each partition's own emission order is preserved.
-// That triple is a pure function of the simulation, never of goroutine
-// arrival order, which is what keeps partitioned traces byte-identical
-// to each other at any worker count.
+// tracer. Records of different children sort by timestamp, ties break
+// on the stable child index given by argument order, and each child's
+// own emission order is preserved. That triple is a pure function of
+// the simulation, never of goroutine arrival order, which is what keeps
+// partitioned traces byte-identical to each other at any worker count.
 //
-// Sequence numbers are re-assigned densely in merge order and span
-// references are remapped through a per-child table (a Begin's new seq
-// is recorded when it lands; its End looks the mapping up), so
-// begin/end pairing survives the interleave. A span's Begin always
-// precedes its End in the merged stream because each child's timestamps
-// are non-decreasing — true of a partition tracer, whose records carry
-// its own kernel's monotone clock. Child registries and series merge in
-// argument order, exactly as Splice merges them: counters add, gauges
-// last-write-wins in partition order, histograms append, series rows
-// append. Nil children are ignored; Merge on a nil tracer is a no-op.
-// Children must be memory-backed (Child guarantees this).
+// With a single child there is nothing to interleave: Merge appends the
+// child's records to t exactly as if every event had been emitted
+// directly on t. Calling Merge once per child in trial order is
+// therefore how independent trials recorded concurrently reproduce the
+// serial loop's byte output; with a streaming parent sink the records
+// flow straight out.
+//
+// Sequence numbers are re-assigned densely in merge order, continuing
+// t's own sequence, and span references are remapped through a
+// per-child table (a Begin's new seq is recorded when it lands; its End
+// looks the mapping up), so begin/end pairing survives the interleave. A
+// span's Begin always precedes its End in the merged stream because
+// each child's timestamps are non-decreasing — true of a partition
+// tracer, whose records carry its own kernel's monotone clock — and a
+// lone child is never reordered at all. Child registries and series
+// merge in argument order: counters add, gauges last-write-wins in
+// child order (as a serial run would), histograms append their
+// observations, series rows append. Nil children (from a disabled
+// parent, or trials skipped by a panic) are ignored; Merge on a nil
+// tracer is a no-op. Children must be memory-backed (Child guarantees
+// this).
 func (t *Tracer) Merge(children ...*Tracer) {
 	if t == nil {
 		return

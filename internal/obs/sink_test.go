@@ -277,45 +277,6 @@ func TestSpanSlotReuse(t *testing.T) {
 	}
 }
 
-func TestSpliceIntoStreamingParent(t *testing.T) {
-	// Serial reference: everything emitted on one memory tracer.
-	serial := NewTracer()
-	emitFixture(serial)
-	emitFixture(serial)
-	var want bytes.Buffer
-	if err := serial.WriteJSONL(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	// Streaming parent; two children spliced in order.
-	var got bytes.Buffer
-	parent := NewTracerWithSink(NewJSONLSink(&got, 128))
-	c1, c2 := parent.Child(), parent.Child()
-	emitFixture(c1)
-	emitFixture(c2)
-	parent.Splice(c1, c2)
-	if err := parent.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("spliced streaming output differs from serial:\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
-	}
-	if parent.Registry().Counter("lsc.commits") != 2 {
-		t.Fatalf("registry merge lost counts: %v", parent.Registry().Counter("lsc.commits"))
-	}
-}
-
-func TestSpliceRejectsStreamingChild(t *testing.T) {
-	parent := NewTracer()
-	bad := NewTracerWithSink(NewJSONLSink(&bytes.Buffer{}, 0))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Splice accepted a non-memory child")
-		}
-	}()
-	parent.Splice(bad)
-}
-
 func TestDecodeJSONLStreams(t *testing.T) {
 	tr := NewTracer()
 	emitFixture(tr)

@@ -377,26 +377,3 @@ func (c *Coordinator) releaseSlot() {
 		<-c.sem
 	}
 }
-
-// Single installs a degenerate single-partition gate on k: every finite
-// request is granted need + max(lookahead, 1) immediately and nothing is
-// ever injected; an empty queue (need == sim.MaxTime) closes the gate,
-// which is exactly the serial kernel's queue-drained return — with no
-// neighbors there is nothing to wait for. It exercises the gated kernel
-// arithmetic a real coordinator does while provably preserving the
-// serial schedule: the engine behind `-partitions` on single-zone
-// topologies, and the baseline the equivalence tests compare against.
-func Single(k *sim.Kernel, lookahead sim.Time) {
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	k.SetGate(func(need sim.Time) (sim.Time, bool) {
-		if need == sim.MaxTime {
-			return 0, false
-		}
-		if need > sim.MaxTime-lookahead {
-			return sim.MaxTime, true
-		}
-		return need + lookahead, true
-	}, 0)
-}
