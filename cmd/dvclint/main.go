@@ -18,11 +18,11 @@
 //
 //	//lint:allow <analyzer>[,<analyzer>] <why this is safe>
 //
-// or recorded in a reviewed baseline file (-baseline), keyed by
-// (analyzer, file, message) so unrelated line drift does not invalidate
-// entries. Output formats (-format): text (default), json, sarif
-// (SARIF 2.1.0, consumed by CI for inline annotations). All formats are
-// deterministic, globally sorted by (file, line, analyzer).
+// That directive is the only waiver: a finding is either fixed or
+// excused in place, next to the code. Output formats (-format): text
+// (default), json, sarif (SARIF 2.1.0, consumed by CI for inline
+// annotations). All formats are deterministic, globally sorted by (file,
+// line, analyzer).
 //
 // Exit status is 0 when the tree is clean, 1 when there are findings
 // (or the manifest is stale), 2 on usage or load errors.
@@ -54,8 +54,6 @@ func run(args []string) int {
 		verbose       = fs.Bool("v", false, "report the packages checked")
 		format        = fs.String("format", "text", "output format: text, json, or sarif")
 		out           = fs.String("o", "", "write findings to this file instead of stdout")
-		baselinePath  = fs.String("baseline", "", "filter findings through this reviewed baseline file")
-		writeBaseline = fs.String("write-baseline", "", "write current findings as a baseline file and exit")
 		manifestPath  = fs.String("manifest", "", "fail if this checkpoint state manifest is out of date")
 		writeManifest = fs.String("write-manifest", "", "write the checkpoint state manifest and exit")
 	)
@@ -161,39 +159,6 @@ func run(args []string) int {
 		}
 	}
 	report.Sort(findings)
-
-	if *writeBaseline != "" {
-		var buf bytes.Buffer
-		if err := report.WriteBaseline(&buf, findings); err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		if err := os.WriteFile(*writeBaseline, buf.Bytes(), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "dvclint: wrote %d finding(s) to baseline %s\n", len(findings), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %v\n", err)
-			return 2
-		}
-		b, err := report.ParseBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dvclint: %s: %v\n", *baselinePath, err)
-			return 2
-		}
-		var stale []string
-		findings, stale = b.Filter(findings)
-		for _, s := range stale {
-			fmt.Fprintf(os.Stderr, "dvclint: stale baseline entry (debt paid, remove it): %s\n", s)
-		}
-	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

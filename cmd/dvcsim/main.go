@@ -318,8 +318,6 @@ func writeReport(dir, exp string, seed int64, trials int, full bool, parallel in
 	return writeFile(filepath.Join(dir, "series.jsonl"), tracer.Series().WriteJSONL)
 }
 
-// dumpFlight writes the flight recorder's retained window, if one is
-// armed and has records.
 // runScaleMode generates a -dc/-cluster/-host topology, drives the
 // reference LSC workload over it end-to-end, and prints throughput
 // figures. Exit status is non-zero if the checkpoint or the job failed.
@@ -365,6 +363,8 @@ func runScaleMode(spec dvc.ScaleSpec, seed int64, tracer *dvc.Tracer, closers []
 	return 0
 }
 
+// dumpFlight writes the flight recorder's retained window, if one is
+// armed and has records.
 func dumpFlight(flight *obs.FlightSink, path string) {
 	if flight == nil || flight.Retained() == 0 {
 		return

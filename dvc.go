@@ -248,19 +248,20 @@ func (s *Simulation) Site() *phys.Site { return s.site }
 // Allocate places and boots a virtual cluster, running the simulation
 // until it is ready.
 func (s *Simulation) Allocate(spec VCSpec) (*VirtualCluster, error) {
-	ready := false
-	vc, err := s.mgr.Allocate(spec, func(*core.VirtualCluster) { ready = true; s.kernel.Halt() })
-	if err != nil {
-		return nil, err
+	return await(s, 10*Minute, func(done func(*VirtualCluster)) error {
+		_, err := s.mgr.Allocate(spec, done)
+		return err
+	}, "dvc: %s did not become ready", spec.Name)
+}
+
+// await runs one asynchronous operation to completion (core.Await) and
+// turns a timeout into an error; format and args name the operation.
+func await[R any](s *Simulation, limit Time, start func(done func(R)) error, format string, args ...any) (R, error) {
+	res, ok, err := core.Await(s.kernel, limit, start)
+	if err == nil && !ok {
+		err = fmt.Errorf(format, args...)
 	}
-	deadline := s.kernel.Now() + 10*Minute
-	for !ready && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if !ready {
-		return nil, fmt.Errorf("dvc: %s did not become ready", spec.Name)
-	}
-	return vc, nil
+	return res, err
 }
 
 // MustAllocate is Allocate, panicking on error (for examples and tests).
@@ -275,18 +276,9 @@ func (s *Simulation) MustAllocate(spec VCSpec) *VirtualCluster {
 // Checkpoint takes one coordinated LSC checkpoint of the VC, running the
 // simulation until it completes.
 func (s *Simulation) Checkpoint(vc *VirtualCluster) (*CheckpointResult, error) {
-	var res *CheckpointResult
-	if err := s.co.Checkpoint(vc, func(r *core.CheckpointResult) { res = r; s.kernel.Halt() }); err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: checkpoint of %s never completed", vc.Name())
-	}
-	return res, nil
+	return await(s, Hour, func(done func(*CheckpointResult)) error {
+		return s.co.Checkpoint(vc, done)
+	}, "dvc: checkpoint of %s never completed", vc.Name())
 }
 
 // MustCheckpoint is Checkpoint, panicking on error or failed checkpoint.
@@ -304,18 +296,9 @@ func (s *Simulation) MustCheckpoint(vc *VirtualCluster) *CheckpointResult {
 // Migrate moves a running VC onto targets via checkpoint/restore, running
 // the simulation until it completes.
 func (s *Simulation) Migrate(vc *VirtualCluster, targets []*Node) (*CheckpointResult, error) {
-	var res *CheckpointResult
-	if err := s.co.Migrate(vc, targets, func(r *core.CheckpointResult) { res = r; s.kernel.Halt() }); err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: migration of %s never completed", vc.Name())
-	}
-	return res, nil
+	return await(s, Hour, func(done func(*CheckpointResult)) error {
+		return s.co.Migrate(vc, targets, done)
+	}, "dvc: migration of %s never completed", vc.Name())
 }
 
 // LiveMigrate moves a running VC onto targets with pre-copy: memory
@@ -323,18 +306,9 @@ func (s *Simulation) Migrate(vc *VirtualCluster, targets []*Node) (*CheckpointRe
 // happens inside the coordinated pause. Downtime is typically a small
 // fraction of Migrate's stop-and-copy.
 func (s *Simulation) LiveMigrate(vc *VirtualCluster, targets []*Node, cfg LiveConfig) (*LiveMigrationResult, error) {
-	var res *LiveMigrationResult
-	if err := s.co.LiveMigrate(vc, targets, cfg, func(r *core.LiveMigrationResult) { res = r; s.kernel.Halt() }); err != nil {
-		return nil, err
-	}
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: live migration of %s never completed", vc.Name())
-	}
-	return res, nil
+	return await(s, Hour, func(done func(*LiveMigrationResult)) error {
+		return s.co.LiveMigrate(vc, targets, cfg, done)
+	}, "dvc: live migration of %s never completed", vc.Name())
 }
 
 // DefaultLiveConfig returns standard pre-copy bounds.
@@ -344,16 +318,10 @@ func DefaultLiveConfig() LiveConfig { return core.DefaultLiveConfig() }
 // domains were destroyed (e.g. by a node crash). Call vc.Teardown first
 // if remnants are still running.
 func (s *Simulation) Recover(vc *VirtualCluster, generation int, targets []*Node) (*RestoreResult, error) {
-	var res *RestoreResult
-	s.co.RestoreVC(vc, generation, targets, func(r *core.RestoreResult) { res = r; s.kernel.Halt() })
-	deadline := s.kernel.Now() + Hour
-	for res == nil && s.kernel.Now() < deadline {
-		s.kernel.RunUntil(deadline)
-	}
-	if res == nil {
-		return nil, fmt.Errorf("dvc: recovery of %s never completed", vc.Name())
-	}
-	return res, nil
+	return await(s, Hour, func(done func(*RestoreResult)) error {
+		s.co.RestoreVC(vc, generation, targets, done)
+		return nil
+	}, "dvc: recovery of %s never completed", vc.Name())
 }
 
 // CheckpointGenerations lists the stored checkpoint generations of a VC
@@ -372,31 +340,10 @@ func (s *Simulation) PruneCheckpoints(vc *VirtualCluster, keep int) int {
 
 // RunUntilJobDone advances the simulation until the VC's job finishes
 // (all processes exited) or limit elapses, returning the final status.
-// The wait is event-driven: every guest process exit halts the kernel,
-// so the simulation stops at the exact completion instant instead of
-// the next one-second poll boundary.
+// The wait is event-driven (core.AwaitJob): the simulation stops at the
+// exact completion instant instead of the next one-second poll boundary.
 func (s *Simulation) RunUntilJobDone(vc *VirtualCluster, limit Time) JobStatus {
-	deadline := s.kernel.Now() + limit
-	notify := func(fn func()) {
-		for _, os := range vc.OSes() {
-			if os != nil {
-				os.SetExitNotify(fn)
-			}
-		}
-	}
-	defer notify(nil)
-	for {
-		js := vc.JobStatus()
-		if js.Done() && vc.State() == core.VCReady {
-			return js
-		}
-		if s.kernel.Now() >= deadline {
-			return vc.JobStatus()
-		}
-		// Re-arm each pass: a restore mid-wait replaces the guest OSes.
-		notify(s.kernel.Halt)
-		s.kernel.RunUntil(deadline)
-	}
+	return core.AwaitJob(s.kernel, vc, limit)
 }
 
 // FreeNodes returns healthy nodes of a cluster (all clusters if name is

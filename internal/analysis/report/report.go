@@ -11,14 +11,6 @@
 // All three are deterministic: same findings, same bytes. The canonical
 // order is (file, line, analyzer, column, message), so output diffs
 // cleanly across runs and machines.
-//
-// The package also implements the reviewed-baseline mechanism: a
-// baseline file records findings that are understood and intentionally
-// outstanding, keyed by (analyzer, file, message) — deliberately not by
-// line number, so unrelated edits above a finding do not invalidate the
-// baseline. Findings matching the baseline are filtered out; baseline
-// entries matching nothing are reported as stale so the file shrinks as
-// debt is paid.
 package report
 
 import (
@@ -27,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Finding is one diagnostic with its position resolved to a
@@ -186,87 +177,4 @@ func WriteSARIF(w io.Writer, fs []Finding, rules []RuleDoc) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// --- baseline ---
-
-// baselineKey identifies a finding across line drift: unrelated edits
-// above a finding move its line but not its key.
-func baselineKey(f Finding) string {
-	return f.Analyzer + "\t" + f.File + "\t" + f.Message
-}
-
-// Baseline is a set of reviewed, intentionally outstanding findings.
-type Baseline struct {
-	keys map[string]bool
-}
-
-// ParseBaseline reads a baseline file: tab-separated
-// analyzer<TAB>file<TAB>message lines, '#' comments and blank lines
-// ignored.
-func ParseBaseline(r io.Reader) (*Baseline, error) {
-	b := &Baseline{keys: make(map[string]bool)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.Count(line, "\t") != 2 {
-			return nil, fmt.Errorf("baseline line %d: want analyzer<TAB>file<TAB>message, got %q", n, line)
-		}
-		b.keys[line] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Filter removes findings present in the baseline and returns the
-// survivors plus the baseline entries that matched nothing (stale debt
-// that has been paid and should be removed from the file).
-func (b *Baseline) Filter(fs []Finding) (kept []Finding, stale []string) {
-	matched := make(map[string]bool)
-	for _, f := range fs {
-		key := baselineKey(f)
-		if b.keys[key] {
-			matched[key] = true
-			continue
-		}
-		kept = append(kept, f)
-	}
-	for key := range b.keys {
-		if !matched[key] {
-			stale = append(stale, strings.ReplaceAll(key, "\t", " | "))
-		}
-	}
-	sort.Strings(stale)
-	return kept, stale
-}
-
-// WriteBaseline writes the findings as a baseline file, sorted and
-// deduplicated.
-func WriteBaseline(w io.Writer, fs []Finding) error {
-	keys := make(map[string]bool, len(fs))
-	for _, f := range fs {
-		keys[baselineKey(f)] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# dvclint baseline: reviewed findings that are intentionally outstanding.")
-	fmt.Fprintln(bw, "# Format: analyzer<TAB>file<TAB>message. Keyed without line numbers so")
-	fmt.Fprintln(bw, "# unrelated edits do not invalidate entries. Regenerate with -write-baseline;")
-	fmt.Fprintln(bw, "# stale entries (debt that has been paid) are reported so this file shrinks.")
-	for _, k := range sorted {
-		fmt.Fprintln(bw, k)
-	}
-	return bw.Flush()
 }

@@ -109,51 +109,3 @@ func TestSARIFShape(t *testing.T) {
 		t.Fatalf("startLine = %v", loc)
 	}
 }
-
-// TestBaselineRoundTrip: write, parse, filter; line-number drift must
-// not invalidate entries, and paid-off entries must surface as stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	fs := sample()
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, fs); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParseBaseline(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drift every line number: the baseline must still match everything.
-	drifted := sample()
-	for i := range drifted {
-		drifted[i].Line += 100
-		drifted[i].Col++
-	}
-	kept, stale := b.Filter(drifted)
-	if len(kept) != 0 {
-		t.Fatalf("kept %d findings despite baseline: %v", len(kept), kept)
-	}
-	if len(stale) != 0 {
-		t.Fatalf("unexpected stale entries: %v", stale)
-	}
-	// Remove one finding: its baseline entry must be reported stale.
-	kept, stale = b.Filter(drifted[1:])
-	if len(stale) != 1 || !strings.Contains(stale[0], drifted[0].Message) {
-		t.Fatalf("stale = %v, want one entry mentioning %q", stale, drifted[0].Message)
-	}
-	if len(kept) != 0 {
-		t.Fatalf("kept = %v", kept)
-	}
-	// A new finding not in the baseline survives the filter.
-	extra := Finding{File: "x.go", Line: 1, Col: 1, Analyzer: "noalloc", Message: "new"}
-	kept, _ = b.Filter(append(drifted, extra))
-	if len(kept) != 1 || kept[0].Message != "new" {
-		t.Fatalf("kept = %v, want the new finding only", kept)
-	}
-}
-
-func TestParseBaselineRejectsMalformed(t *testing.T) {
-	_, err := ParseBaseline(strings.NewReader("noalloc only-one-tab\there\n"))
-	if err == nil {
-		t.Fatal("want error for malformed baseline line")
-	}
-}

@@ -68,7 +68,7 @@ func runA1(opts Options) *Result {
 		}
 	}
 	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) lscTrialResult {
-		return lscTrial(specs[i].seed, nodes, specs[i].o)
+		return lscTrial(specs[i].seed, nodes, specs[i].o, haloJob)
 	})
 	failAt := map[int]float64{}
 	for ri, retries := range retriesList {
@@ -140,7 +140,7 @@ func runA2(opts Options) *Result {
 		}
 	}
 	outs := forEachTrial(opts, len(specs), func(i int, _ *obs.Tracer) lscTrialResult {
-		return lscTrial(specs[i].seed, nodes, specs[i].o)
+		return lscTrial(specs[i].seed, nodes, specs[i].o, haloJob)
 	})
 	for ri, residual := range residuals {
 		failures := 0

@@ -53,7 +53,7 @@ func BenchmarkDeltaCheckpoint(b *testing.B) {
 		// dominate the per-epoch dirty set. NTP skew is micro-seconds, so
 		// a 500 ms lead still pauses every domain on time.
 		lsc.ScheduleLead = 500 * sim.Millisecond
-		bd := newWANBed(seed, nodes*2, lsc)
+		bd := makeBed(seed, bedOptions{topo: wanTopo(nodes * 2), lsc: lsc, ntp: true})
 		src := phys.ClusterName(0, 0)
 		vc, err := bd.mgr.Allocate(core.VCSpec{Name: "bench", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
 		if err != nil {

@@ -8,10 +8,6 @@ import (
 	"time"
 
 	"dvc/internal/core"
-	"dvc/internal/guest"
-	"dvc/internal/hpcc"
-	"dvc/internal/mpi"
-	"dvc/internal/sim"
 )
 
 // BenchmarkE2EventRate measures end-to-end kernel event throughput on the
@@ -32,20 +28,19 @@ func BenchmarkE2EventRate(b *testing.B) {
 	var totalWall time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bd := newBed(seed, map[string]int{"alpha": nodes}, core.DefaultNTPLSC(), true)
-		vc := bd.allocate("bench", nodes, guest.WatchdogConfig{})
-		vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) })
+		bd := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: core.DefaultNTPLSC(), ntp: true})
 		start := time.Now()
-		bd.k.RunFor(2 * sim.Second)
-		res := bd.checkpointOnce(vc, 10*sim.Minute)
-		js := bd.runJob(vc, 4*sim.Hour)
+		run, err := bd.runRefJob("bench", nodes)
 		totalWall += time.Since(start)
 		totalEvents += bd.k.Fired()
-		if res == nil || !res.OK {
-			b.Fatalf("checkpoint failed: %+v", res)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if !js.AllOK() {
-			b.Fatalf("job failed: %+v", js)
+		if !run.imagesOK {
+			b.Fatalf("checkpoint failed: %+v", run.ckpt)
+		}
+		if !run.job.AllOK() {
+			b.Fatalf("job failed: %+v", run.job)
 		}
 	}
 	b.StopTimer()

@@ -37,7 +37,7 @@ func runE1(opts Options) *Result {
 	// results in the exact order of the old nested serial loop.
 	results := forEachTrial(opts, len(sizes)*trials, func(i int, _ *obs.Tracer) lscTrialResult {
 		n, trial := sizes[i/trials], i%trials
-		return lscTrial(opts.Seed+int64(1000*n+trial), n, bedOptions{clusters: map[string]int{"alpha": n}, lsc: lsc})
+		return lscTrial(opts.Seed+int64(1000*n+trial), n, bedOptions{clusters: map[string]int{"alpha": n}, lsc: lsc}, haloJob)
 	})
 	for si, n := range sizes {
 		failures := 0

@@ -70,7 +70,7 @@ func runE10(opts Options) *Result {
 		lsc.SleeperFailProb = sleeperFail
 		lsc.HealthCheck = s.health
 		lsc.HealthRetries = 20
-		b := newBed(s.seed, map[string]int{"alpha": s.n}, lsc, true)
+		b := makeBed(s.seed, bedOptions{clusters: map[string]int{"alpha": s.n}, lsc: lsc, ntp: true})
 		// Idle VCs: at this scale the coordination failure mode is
 		// independent of guest traffic, and idle guests keep the
 		// sweep tractable.

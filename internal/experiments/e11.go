@@ -29,7 +29,7 @@ func runE11(opts Options) *Result {
 	}
 	migrate := func(n int, seed int64) migOut {
 		lsc := core.DefaultNTPLSC()
-		b := newBed(seed, map[string]int{"alpha": n, "beta": n}, lsc, true)
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": n, "beta": n}, lsc: lsc, ntp: true})
 		vc, err := b.mgr.Allocate(core.VCSpec{Name: "mig", Nodes: n, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
 		if err != nil {
 			panic(err)
@@ -55,7 +55,7 @@ func runE11(opts Options) *Result {
 				onBeta = false
 			}
 		}
-		js := b.runJob(vc, 2*sim.Hour)
+		js := core.AwaitJob(b.k, vc, 2*sim.Hour)
 		out.ok = onBeta && js.AllOK()
 		out.downtime = r.Downtime
 		tbl.Row(n, r.SaveSkew, r.StoreTime, "-", r.Downtime, outcomeStr(out.ok))
@@ -75,7 +75,7 @@ func runE11(opts Options) *Result {
 	// the node then dies, and the job never notices.
 	proactive := func(seed int64) bool {
 		lsc := core.DefaultNTPLSC()
-		b := newBed(seed, map[string]int{"alpha": 4, "beta": 4}, lsc, true)
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 4, "beta": 4}, lsc: lsc, ntp: true})
 		vc, err := b.mgr.Allocate(core.VCSpec{Name: "pro", Nodes: 4, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
 		if err != nil {
 			panic(err)
@@ -91,7 +91,7 @@ func runE11(opts Options) *Result {
 		b.k.After(60*sim.Second, func() { doomed.Fail() })
 		var r *core.CheckpointResult
 		b.co.Migrate(vc, b.site.UpNodes("beta"), func(cr *core.CheckpointResult) { r = cr })
-		js := b.runJob(vc, 2*sim.Hour)
+		js := core.AwaitJob(b.k, vc, 2*sim.Hour)
 		if r == nil || !r.OK || !js.AllOK() {
 			return false
 		}

@@ -32,7 +32,7 @@ func runE13(opts Options) *Result {
 		ok     bool
 	}
 	run := func(seed int64, dirtyRate float64, live bool) out {
-		b := newBed(seed, map[string]int{"alpha": nodes, "beta": nodes}, coreNTP(), true)
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes, "beta": nodes}, lsc: core.DefaultNTPLSC(), ntp: true})
 		vc, err := b.mgr.Allocate(core.VCSpec{Name: "m", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{"alpha"}}, nil)
 		if err != nil {
 			panic(err)
@@ -71,7 +71,7 @@ func runE13(opts Options) *Result {
 				for _, img := range r.Images {
 					copied += 2 * img.SizeBytes() // store write + read
 				}
-				o = out{down: r.Downtime, total: b.k.Now() - start, rounds: 1, copied: copied, ok: true}
+				o = out{down: r.Downtime, total: r.FinishedAt - start, rounds: 1, copied: copied, ok: true}
 			}
 		}
 		// The guests must survive either way.
@@ -123,7 +123,7 @@ func runE13(opts Options) *Result {
 		ok      bool
 	}
 	runWAN := func(seed int64, dirtyRate float64, live, delta bool) wanOut {
-		b := newWANBed(seed, nodes, coreNTP())
+		b := makeBed(seed, bedOptions{topo: wanTopo(nodes), lsc: core.DefaultNTPLSC(), ntp: true})
 		src, dst := phys.ClusterName(0, 0), phys.ClusterName(1, 0)
 		vc, err := b.mgr.Allocate(core.VCSpec{Name: "wm", Nodes: nodes, VMRAM: vmRAM, Clusters: []string{src}}, nil)
 		if err != nil {

@@ -42,7 +42,7 @@ func runE14(opts Options) *Result {
 	lan := e14Bed{
 		name: "LAN",
 		build: func(lsc core.LSCConfig) *bed {
-			return newBed(opts.Seed, map[string]int{"alpha": nodes * 2}, lsc, true)
+			return makeBed(opts.Seed, bedOptions{clusters: map[string]int{"alpha": nodes * 2}, lsc: lsc, ntp: true})
 		},
 		cluster: "alpha",
 		boot:    vm.DefaultXenConfig().BootTime + sim.Second,
@@ -51,7 +51,7 @@ func runE14(opts Options) *Result {
 	wan := e14Bed{
 		name: "WAN",
 		build: func(lsc core.LSCConfig) *bed {
-			return newWANBed(opts.Seed+20, nodes*2, lsc)
+			return makeBed(opts.Seed+20, bedOptions{topo: wanTopo(nodes * 2), lsc: lsc, ntp: true})
 		},
 		cluster: phys.ClusterName(0, 0),
 		boot:    35 * sim.Second,
@@ -137,7 +137,7 @@ func runE14(opts Options) *Result {
 			panic("E14 restore failed")
 		}
 		o.restoreStage = rr.StageTime
-		o.jobOK = b.runJob(vc, 2*sim.Hour).AllOK()
+		o.jobOK = core.AwaitJob(b.k, vc, 2*sim.Hour).AllOK()
 		return o
 	}
 

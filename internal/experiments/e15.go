@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"dvc/internal/core"
 	"dvc/internal/metrics"
+	"dvc/internal/netsim"
 	"dvc/internal/phys"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 	"dvc/internal/workload"
 )
 
@@ -61,24 +59,12 @@ func runE15(opts Options) *Result {
 	run := func(seed int64, backend rm.Backend) outcome {
 		k := sim.NewKernel(seed)
 		site := phys.DefaultSite(k)
-		site.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsimEth())
-		site.AddCluster("beta", perCluster, phys.DefaultSpec(), netsimEth())
+		site.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsim.EthernetGigE())
+		site.AddCluster("beta", perCluster, phys.DefaultSpec(), netsim.EthernetGigE())
 		site.SetClusterStack("alpha", "rhel4-mpich")
 		site.SetClusterStack("beta", "suse9-lam")
 		site.NTP.Start()
-		var mgr *core.Manager
-		var coord *core.Coordinator
-		if backend == rm.DVC {
-			store := storage.New(k, storage.DefaultConfig())
-			mgr = core.NewManager(k, site, store, vm.DefaultXenConfig())
-			lsc := core.DefaultNTPLSC()
-			lsc.ContinueAfterSave = true
-			coord = core.NewCoordinator(mgr, lsc)
-		}
-		cfg := rm.DefaultConfig(backend)
-		cfg.CheckpointInterval = 0
-		r := rm.New(k, site, mgr, coord, cfg)
-		r.Start()
+		r := newRM(k, site, backend, 0)
 		r.SubmitTrace(makeTrace(k))
 		deadline := 12 * sim.Hour
 		for k.Now() < deadline && !r.AllDone() {

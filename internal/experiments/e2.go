@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"dvc/internal/core"
-	"dvc/internal/guest"
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
 	"dvc/internal/mpi"
@@ -51,7 +50,7 @@ func runE2(opts Options) *Result {
 	// serial loop at any Options.Parallel.
 	bulk := row{name: "halo-26", trials: volume}
 	for _, r := range forEachTrial(opts, volume, func(trial int, tr *obs.Tracer) lscTrialResult {
-		return lscTrial(opts.Seed+int64(trial), nodes, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: true, tracer: tr})
+		return lscTrial(opts.Seed+int64(trial), nodes, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: true, tracer: tr}, haloJob)
 	}) {
 		if !r.ok {
 			bulk.failures++
@@ -108,8 +107,11 @@ func runE2(opts Options) *Result {
 			})
 		}
 	}
-	hpccOuts := forEachTrial(opts, len(specs), func(i int, tr *obs.Tracer) hpccTrialResult {
-		return hpccLSCTrial(specs[i].seed, nodes, lsc, true, specs[i].makeApp, tr)
+	// Verified trials record skew only once the checkpoint commits, even
+	// when a later stage fails; bulk trials record every reported skew.
+	hpccOuts := forEachTrial(opts, len(specs), func(i int, tr *obs.Tracer) lscTrialResult {
+		o := bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: true, tracer: tr}
+		return lscTrial(specs[i].seed, nodes, o, trialJob{specs[i].makeApp, hpccPassed, 4 * sim.Hour})
 	})
 	ptransFail, hplFail := 0, 0
 	var ptransSkew, hplSkew metrics.Sample
@@ -119,7 +121,7 @@ func runE2(opts Options) *Result {
 		if specs[i].isPT {
 			skew = &ptransSkew
 		}
-		if out.skewValid {
+		if out.committed {
 			skew.AddTime(out.skew)
 		}
 		if specs[i].isPT {
@@ -147,50 +149,13 @@ func runE2(opts Options) *Result {
 	return res
 }
 
-// hpccTrialResult reports one verified HPCC trial. The skew is recorded
-// (skewValid) as soon as the checkpoint commits, even when a later stage
-// fails — mirroring the serial loop's sample contents exactly.
-type hpccTrialResult struct {
-	ok        bool
-	skew      sim.Time
-	skewValid bool
-}
-
-// hpccLSCTrial is lscTrial for a verified HPCC workload: checkpoint
-// mid-run, then require successful completion AND numerical verification.
-// It is self-contained (own kernel, own tracer) so the fleet pool can run
-// many of these concurrently.
-func hpccLSCTrial(seed int64, nodes int, lsc core.LSCConfig, ntp bool, makeApp func(int) mpi.App, tr *obs.Tracer) hpccTrialResult {
-	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: ntp, tracer: tr})
-	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, makeApp)
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
-	if res == nil || !res.OK {
-		return hpccTrialResult{}
+// hpccPassed reports whether a PTRANS or HPL rank verified numerically.
+func hpccPassed(app mpi.App) bool {
+	switch a := app.(type) {
+	case *hpcc.PTRANS:
+		return a.Passed
+	case *hpcc.HPL:
+		return a.Passed
 	}
-	out := hpccTrialResult{skew: res.SaveSkew, skewValid: true}
-	if core.InspectImages(res.Images) != nil {
-		return out
-	}
-	js := b.runJob(vc, 4*sim.Hour)
-	if !js.AllOK() {
-		return out
-	}
-	for _, app := range vc.RankApps() {
-		switch a := app.(type) {
-		case *hpcc.PTRANS:
-			if !a.Passed {
-				return out
-			}
-		case *hpcc.HPL:
-			if !a.Passed {
-				return out
-			}
-		default:
-			return out
-		}
-	}
-	out.ok = true
-	return out
+	return false
 }

@@ -34,14 +34,14 @@ func runE4(opts Options) *Result {
 	}
 	run := func(seed int64, makeApp func(int) mpi.App, getTimes func(mpi.App) (sim.Time, sim.Time), interval sim.Time) outcome {
 		lsc := core.DefaultNTPLSC()
-		b := newBed(seed, map[string]int{"alpha": nodes}, lsc, true)
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: true})
 		vc := b.allocate("e4", nodes, guest.WatchdogConfig{})
 		vc.LaunchMPI(6000, makeApp)
 		var per *core.Periodic
 		if interval > 0 {
 			per = b.co.StartPeriodic(vc, interval, nil)
 		}
-		js := b.runJob(vc, 4*sim.Hour)
+		js := core.AwaitJob(b.k, vc, 4*sim.Hour)
 		if per != nil {
 			per.Stop()
 		}

@@ -29,7 +29,7 @@ func runE6(opts Options) *Result {
 	}
 
 	lsc := core.DefaultNTPLSC()
-	b := newBed(opts.Seed, map[string]int{"alpha": nodes}, lsc, true)
+	b := makeBed(opts.Seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: lsc, ntp: true})
 	vc := b.allocate("e6", nodes, guest.DefaultWatchdog())
 	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1<<20, 20*sim.Millisecond, 2048) })
 	b.k.RunFor(30 * sim.Second)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"dvc/internal/core"
 	"dvc/internal/guest"
 	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
@@ -111,7 +112,7 @@ func fmtMBs(bw float64) string { return fmt.Sprintf("%.1fMB/s", bw/1e6) }
 
 // runSeqJob times a sequential compute job natively or in a single VM.
 func runSeqJob(seed int64, virt bool) sim.Time {
-	b := newBed(seed, map[string]int{"alpha": 1}, coreNTP(), true)
+	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 1}, lsc: core.DefaultNTPLSC(), ntp: true})
 	job := hpcc.NewSeqJob(60, 1e10, guestFlops) // 60 GFlop = 60s at 10 GF/s
 	if virt {
 		vc := b.allocate("seq", 1, guest.WatchdogConfig{})
@@ -130,7 +131,7 @@ func runSeqJob(seed int64, virt bool) sim.Time {
 // runPingPong measures small-message RTT and large-message bandwidth.
 func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) (sim.Time, float64) {
 	run := func(msg, iters int) *hpcc.PingPong {
-		b := newBedProfile(seed, 2, coreNTP(), profile)
+		b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 2}, lsc: core.DefaultNTPLSC(), ntp: true, profile: &profile})
 		app0 := hpcc.NewPingPong(msg, iters)
 		apps := []mpi.App{app0, hpcc.NewPingPong(msg, iters)}
 		if virt {
@@ -157,7 +158,7 @@ func runPingPong(seed int64, virt bool, profile netsim.LinkProfile) (sim.Time, f
 
 // runParallelHPCC times a 4-rank workload natively or in a VC.
 func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
-	b := newBed(seed, map[string]int{"alpha": 4}, coreNTP(), true)
+	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": 4}, lsc: core.DefaultNTPLSC(), ntp: true})
 	makeApp := func(int) mpi.App {
 		switch kind {
 		case "hpl":
@@ -172,7 +173,7 @@ func runParallelHPCC(seed int64, virt bool, kind string) sim.Time {
 	if virt {
 		vc := b.allocate("par", 4, guest.WatchdogConfig{})
 		vc.LaunchMPI(6000, makeApp)
-		js := b.runJob(vc, 4*sim.Hour)
+		js := core.AwaitJob(b.k, vc, 4*sim.Hour)
 		if !js.AllOK() {
 			panic("parallel job failed")
 		}

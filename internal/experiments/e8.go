@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"dvc/internal/core"
 	"dvc/internal/metrics"
+	"dvc/internal/netsim"
 	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 	"dvc/internal/workload"
 )
 
@@ -38,21 +36,9 @@ func runE8(opts Options) *Result {
 	run := func(backend rm.Backend, interval sim.Time, seed int64) outcome {
 		k := sim.NewKernel(seed)
 		site := phys.DefaultSite(k)
-		site.AddCluster("alpha", nodes, phys.DefaultSpec(), netsimEth())
+		site.AddCluster("alpha", nodes, phys.DefaultSpec(), netsim.EthernetGigE())
 		site.NTP.Start()
-		var mgr *core.Manager
-		var coord *core.Coordinator
-		if backend == rm.DVC {
-			store := storage.New(k, storage.DefaultConfig())
-			mgr = core.NewManager(k, site, store, vm.DefaultXenConfig())
-			lsc := core.DefaultNTPLSC()
-			lsc.ContinueAfterSave = true
-			coord = core.NewCoordinator(mgr, lsc)
-		}
-		cfg := rm.DefaultConfig(backend)
-		cfg.CheckpointInterval = interval
-		r := rm.New(k, site, mgr, coord, cfg)
-		r.Start()
+		r := newRM(k, site, backend, interval)
 
 		trace := workload.Generate(k.Rand(), workload.MixConfig{
 			Count:       jobCount,

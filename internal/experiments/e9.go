@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"dvc/internal/core"
 	"dvc/internal/metrics"
+	"dvc/internal/netsim"
 	"dvc/internal/phys"
 	"dvc/internal/rm"
 	"dvc/internal/sim"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 	"dvc/internal/workload"
 )
 
@@ -40,19 +38,6 @@ func runE9(opts Options) *Result {
 		WorkMax:      8 * sim.Minute,
 	}
 
-	newDVCRM := func(k *sim.Kernel, site *phys.Site) *rm.RM {
-		store := storage.New(k, storage.DefaultConfig())
-		mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-		lsc := core.DefaultNTPLSC()
-		lsc.ContinueAfterSave = true
-		coord := core.NewCoordinator(mgr, lsc)
-		cfg := rm.DefaultConfig(rm.DVC)
-		cfg.CheckpointInterval = 0 // no faults in this experiment
-		r := rm.New(k, site, mgr, coord, cfg)
-		r.Start()
-		return r
-	}
-
 	type outcome struct {
 		completed int
 		makespan  sim.Time
@@ -65,12 +50,13 @@ func runE9(opts Options) *Result {
 	runIndependent := func(seed int64) outcome {
 		k := sim.NewKernel(seed)
 		siteA := phys.DefaultSite(k)
-		siteA.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsimEth())
+		siteA.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsim.EthernetGigE())
 		siteA.NTP.Start()
 		siteB := phys.DefaultSite(k)
-		siteB.AddCluster("beta", perCluster, phys.DefaultSpec(), netsimEth())
+		siteB.AddCluster("beta", perCluster, phys.DefaultSpec(), netsim.EthernetGigE())
 		siteB.NTP.Start()
-		rmA, rmB := newDVCRM(k, siteA), newDVCRM(k, siteB)
+		// No faults in this experiment, so no checkpoints.
+		rmA, rmB := newRM(k, siteA, rm.DVC, 0), newRM(k, siteB, rm.DVC, 0)
 		trace := workload.Generate(k.Rand(), mix)
 		var lastArrival sim.Time
 		for i, spec := range trace {
@@ -108,10 +94,10 @@ func runE9(opts Options) *Result {
 	runSpanning := func(seed int64) outcome {
 		k := sim.NewKernel(seed)
 		site := phys.DefaultSite(k)
-		site.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsimEth())
-		site.AddCluster("beta", perCluster, phys.DefaultSpec(), netsimEth())
+		site.AddCluster("alpha", perCluster, phys.DefaultSpec(), netsim.EthernetGigE())
+		site.AddCluster("beta", perCluster, phys.DefaultSpec(), netsim.EthernetGigE())
 		site.NTP.Start()
-		r := newDVCRM(k, site)
+		r := newRM(k, site, rm.DVC, 0)
 		trace := workload.Generate(k.Rand(), mix)
 		r.SubmitTrace(trace)
 		deadline := 24 * sim.Hour

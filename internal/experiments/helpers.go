@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"dvc/internal/clock"
 	"dvc/internal/core"
 	"dvc/internal/guest"
@@ -9,6 +11,7 @@ import (
 	"dvc/internal/netsim"
 	"dvc/internal/obs"
 	"dvc/internal/phys"
+	"dvc/internal/rm"
 	"dvc/internal/sim"
 	"dvc/internal/storage"
 	"dvc/internal/tcp"
@@ -34,19 +37,24 @@ type bed struct {
 // bedOptions customises makeBed beyond the common defaults.
 type bedOptions struct {
 	clusters map[string]int
-	lsc      core.LSCConfig
-	ntp      bool                // start the NTP daemon
-	ntpCfg   *clock.NTPConfig    // nil = LAN defaults
-	tcpCfg   *tcp.Config         // nil = default transport
-	profile  *netsim.LinkProfile // nil = gigabit Ethernet
-	tracer   *obs.Tracer         // nil = tracing off
+	// topo generates a multi-datacenter topology into the site after the
+	// named clusters (phys.BuildTopo or, for one partition,
+	// phys.BuildTopoZones); nil = none.
+	topo    func(*phys.Site)
+	lsc     core.LSCConfig
+	ntp     bool                // start the NTP daemon
+	ntpCfg  *clock.NTPConfig    // nil = LAN defaults
+	tcpCfg  *tcp.Config         // nil = default transport
+	profile *netsim.LinkProfile // nil = gigabit Ethernet
+	tracer  *obs.Tracer         // nil = tracing off
 }
 
 // probeInterval is the kernel probe's sampling period on traced beds.
 const probeInterval = 500 * sim.Millisecond
 
-// makeBed builds the environment. Clusters are created in a fixed name
-// order for determinism.
+// makeBed builds the environment: kernel, site and clusters, NTP, store,
+// manager, tracer and coordinator, in that order. Named clusters are
+// created in a fixed name order for determinism.
 func makeBed(seed int64, o bedOptions) *bed {
 	k := sim.NewKernel(seed)
 	ntpCfg := clock.DefaultNTPConfig()
@@ -63,6 +71,9 @@ func makeBed(seed int64, o bedOptions) *bed {
 			site.AddCluster(name, n, phys.DefaultSpec(), profile)
 		}
 	}
+	if o.topo != nil {
+		o.topo(site)
+	}
 	if o.ntp {
 		site.NTP.Start()
 	}
@@ -71,167 +82,164 @@ func makeBed(seed int64, o bedOptions) *bed {
 	if o.tcpCfg != nil {
 		mgr.SetTCPConfig(*o.tcpCfg)
 	}
+	b := &bed{k: k, site: site, store: store, mgr: mgr, co: core.NewCoordinator(mgr, o.lsc)}
 	if o.tracer != nil {
-		// Attach tracing to every layer and sample the kernel. The probe
-		// schedules ordinary events, so traced and untraced runs have
-		// different schedules — but any two traced runs are identical.
-		mgr.SetTracer(o.tracer)
-		obs.StartKernelProbe(k, o.tracer, probeInterval)
+		b.trace(o.tracer)
 	}
-	return &bed{k: k, site: site, store: store, mgr: mgr, co: core.NewCoordinator(mgr, o.lsc)}
+	return b
 }
 
-// newBed builds the common environment: named Ethernet clusters, default
-// transport, LAN NTP.
-func newBed(seed int64, clusters map[string]int, lsc core.LSCConfig, ntp bool) *bed {
-	return makeBed(seed, bedOptions{clusters: clusters, lsc: lsc, ntp: ntp})
+// trace attaches tr to every layer and starts the kernel probe. The
+// probe schedules ordinary events, so traced and untraced runs have
+// different schedules — but any two traced runs are identical.
+func (b *bed) trace(tr *obs.Tracer) {
+	b.mgr.SetTracer(tr)
+	obs.StartKernelProbe(b.k, tr, probeInterval)
 }
 
-// coreNTP is shorthand for the default NTP coordinator configuration.
-func coreNTP() core.LSCConfig { return core.DefaultNTPLSC() }
-
-// netsimEth is shorthand for the standard cluster fabric profile.
-func netsimEth() netsim.LinkProfile { return netsim.EthernetGigE() }
-
-// newWANBed builds a two-datacenter bed joined by the WAN profile
-// (2.5 ms, 100 MB/s): one cluster of hostsPerDC gigabit hosts per DC,
-// generated through the standard topology builder so cluster names are
-// the canonical dc00-c00 / dc01-c00.
-func newWANBed(seed int64, hostsPerDC int, lsc core.LSCConfig) *bed {
-	k := sim.NewKernel(seed)
-	site := phys.DefaultSite(k)
-	if _, err := phys.BuildTopo(site, phys.TopoSpec{DCs: 2, ClustersPerDC: 1, HostsPerCluster: hostsPerDC}); err != nil {
-		panic(err)
+// wanTopo generates two datacenters joined by the WAN profile (2.5 ms,
+// 100 MB/s), one cluster of hostsPerDC gigabit hosts each, with the
+// canonical cluster names dc00-c00 / dc01-c00.
+func wanTopo(hostsPerDC int) func(*phys.Site) {
+	return func(site *phys.Site) {
+		if _, err := phys.BuildTopo(site, phys.TopoSpec{DCs: 2, ClustersPerDC: 1, HostsPerCluster: hostsPerDC}); err != nil {
+			panic(err)
+		}
 	}
-	site.NTP.Start()
-	store := storage.New(k, storage.DefaultConfig())
-	mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-	return &bed{k: k, site: site, store: store, mgr: mgr, co: core.NewCoordinator(mgr, lsc)}
 }
 
-// newBedProfile builds a single-cluster bed with a custom link profile.
-func newBedProfile(seed int64, nodes int, lsc core.LSCConfig, profile netsim.LinkProfile) *bed {
-	k := sim.NewKernel(seed)
-	site := phys.DefaultSite(k)
-	site.AddCluster("alpha", nodes, phys.DefaultSpec(), profile)
-	site.NTP.Start()
-	store := storage.New(k, storage.DefaultConfig())
-	mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
-	return &bed{k: k, site: site, store: store, mgr: mgr, co: core.NewCoordinator(mgr, lsc)}
+// newRM assembles a resource manager over site and starts it. The DVC
+// backend gets its own store, manager and NTP coordinator that keeps
+// each job running after a save; interval is the RM's checkpoint period
+// (0 = never).
+func newRM(k *sim.Kernel, site *phys.Site, backend rm.Backend, interval sim.Time) *rm.RM {
+	var mgr *core.Manager
+	var coord *core.Coordinator
+	if backend == rm.DVC {
+		store := storage.New(k, storage.DefaultConfig())
+		mgr = core.NewManager(k, site, store, vm.DefaultXenConfig())
+		lsc := core.DefaultNTPLSC()
+		lsc.ContinueAfterSave = true
+		coord = core.NewCoordinator(mgr, lsc)
+	}
+	cfg := rm.DefaultConfig(backend)
+	cfg.CheckpointInterval = interval
+	r := rm.New(k, site, mgr, coord, cfg)
+	r.Start()
+	return r
 }
 
-// allocate boots a VC and waits for it.
+// allocate boots a VC and waits a fixed BootTime + 1 s for it.
 func (b *bed) allocate(name string, nodes int, wd guest.WatchdogConfig) *core.VirtualCluster {
-	vc, err := b.mgr.Allocate(core.VCSpec{Name: name, Nodes: nodes, VMRAM: vmRAM, Watchdog: wd}, nil)
+	vc, err := b.boot(core.VCSpec{Name: name, Nodes: nodes, VMRAM: vmRAM, Watchdog: wd})
 	if err != nil {
 		panic(err)
-	}
-	b.k.RunFor(vm.DefaultXenConfig().BootTime + sim.Second)
-	if vc.State() != core.VCReady {
-		panic("VC did not become ready")
 	}
 	return vc
 }
 
-// runJob drives until the VC's job is done (or limit). The wait is
-// event-driven: every guest process exit halts the kernel, so the loop
-// re-checks its predicate only when something actually finished instead
-// of waking every simulated second. Stopping at the exact completion
-// instant (rather than the next poll boundary) also means the kernel
-// fires no post-completion timer/NTP events, which is most of the
-// events-fired reduction EXPERIMENTS.md reports.
-func (b *bed) runJob(vc *core.VirtualCluster, limit sim.Time) core.JobStatus {
-	deadline := b.k.Now() + limit
-	defer notifyExits(vc, nil)
-	for {
-		js := vc.JobStatus()
-		if js.Done() && vc.State() == core.VCReady {
-			return js
-		}
-		if b.k.Now() >= deadline {
-			return vc.JobStatus()
-		}
-		// Re-arm each pass: a restore mid-wait replaces the guest OSes,
-		// and arming is idempotent on the ones already hooked.
-		notifyExits(vc, b.k.Halt)
-		b.k.RunUntil(deadline)
+// boot is allocate reporting its failure instead of panicking.
+func (b *bed) boot(spec core.VCSpec) (*core.VirtualCluster, error) {
+	vc, err := b.mgr.Allocate(spec, nil)
+	if err != nil {
+		return nil, err
 	}
+	b.k.RunFor(vm.DefaultXenConfig().BootTime + sim.Second)
+	if vc.State() != core.VCReady {
+		return nil, fmt.Errorf("experiments: VC %s did not become ready", spec.Name)
+	}
+	return vc, nil
 }
 
-// notifyExits installs (or clears, fn == nil) an exit-notification hook
-// on every live guest OS of the VC.
-func notifyExits(vc *core.VirtualCluster, fn func()) {
-	for _, os := range vc.OSes() {
-		if os != nil {
-			os.SetExitNotify(fn)
-		}
-	}
-}
-
-// checkpointOnce issues one checkpoint and runs until it reports. The
-// completion callback halts the kernel, so the wait stops at the exact
-// report instant instead of polling on a one-second period.
+// checkpointOnce issues one checkpoint and runs until it reports
+// (core.Await); nil means it never reported within limit.
 func (b *bed) checkpointOnce(vc *core.VirtualCluster, limit sim.Time) *core.CheckpointResult {
-	var res *core.CheckpointResult
-	if err := b.co.Checkpoint(vc, func(r *core.CheckpointResult) { res = r; b.k.Halt() }); err != nil {
+	res, _, err := core.Await(b.k, limit, func(done func(*core.CheckpointResult)) error {
+		return b.co.Checkpoint(vc, done)
+	})
+	if err != nil {
 		panic(err)
-	}
-	deadline := b.k.Now() + limit
-	for res == nil && b.k.Now() < deadline {
-		b.k.RunUntil(deadline)
 	}
 	return res
 }
 
+// refJob is the outcome of runRefJob.
+type refJob struct {
+	ckpt     *core.CheckpointResult // nil if the checkpoint never reported
+	imagesOK bool                   // ckpt committed and its images are consistent
+	job      core.JobStatus
+}
+
+// runRefJob drives the E2-shaped reference job on b: boot a vms-wide VC
+// called name, run a 600-round halo exchange (20 ms, 4 KiB), checkpoint
+// it 2 s in (10 min limit), run the job to completion (4 h limit) and
+// inspect the checkpoint's images.
+func (b *bed) runRefJob(name string, vms int) (refJob, error) {
+	vc, err := b.boot(core.VCSpec{Name: name, Nodes: vms, VMRAM: vmRAM})
+	if err != nil {
+		return refJob{}, err
+	}
+	if _, err := vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) }); err != nil {
+		return refJob{}, err
+	}
+	b.k.RunFor(2 * sim.Second)
+	r := refJob{ckpt: b.checkpointOnce(vc, 10*sim.Minute)}
+	r.job = core.AwaitJob(b.k, vc, 4*sim.Hour)
+	r.imagesOK = r.ckpt != nil && r.ckpt.OK && core.InspectImages(r.ckpt.Images) == nil
+	return r, nil
+}
+
+// trialJob is the MPI job an lscTrial checkpoints: how to build each
+// rank, how to verify each rank after the run, and how long the run may
+// take.
+type trialJob struct {
+	app    func(rank int) mpi.App
+	rankOK func(mpi.App) bool
+	limit  sim.Time
+}
+
+// haloJob keeps halo traffic flowing through the longest plausible save
+// window (~30 s of 20 ms rounds); a rank passes if its exchange finished.
+var haloJob = trialJob{
+	app: func(int) mpi.App { return hpcc.NewHalo(1500, 20*sim.Millisecond, 4096) },
+	rankOK: func(app mpi.App) bool {
+		h, ok := app.(*hpcc.Halo)
+		return ok && h.Finished
+	},
+	limit: 2 * sim.Hour,
+}
+
 // lscTrialResult reports one lscTrial.
 type lscTrialResult struct {
-	ok       bool
-	reason   string
-	skew     sim.Time
-	downtime sim.Time
-	attempts int
+	ok        bool     // save and restore were transparent
+	committed bool     // the checkpoint reported OK
+	skew      sim.Time // save skew of any checkpoint that reported
+	downtime  sim.Time
 }
 
 // lscTrial runs one full LSC trial on a bed built from o: boot nodes VMs,
-// run a halo workload, checkpoint ~2s in, then run the job to
-// completion. It reports whether save AND restore were transparent
-// (checkpoint OK, images consistent, job finished successfully, every
-// rank's halo exchange complete) along with the measured skew. o.tracer
-// may span many trials; each trial restarts virtual time and the
-// exporters handle it.
-func lscTrial(seed int64, nodes int, o bedOptions) lscTrialResult {
+// launch job, checkpoint ~2s in, then run the job to completion. It
+// reports whether save AND restore were transparent (checkpoint OK,
+// images consistent, job finished successfully, every rank verified)
+// along with the measured skew. o.tracer may span many trials; each
+// trial restarts virtual time and the exporters handle it. A trial is
+// self-contained (own kernel, own tracer), so the fleet pool can run
+// many concurrently.
+func lscTrial(seed int64, nodes int, o bedOptions, job trialJob) lscTrialResult {
 	b := makeBed(seed, o)
 	vc := b.allocate("t", nodes, guest.WatchdogConfig{})
-	// Enough halo rounds to keep traffic flowing through the longest
-	// plausible save window (~30 s of 20 ms rounds).
-	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(1500, 20*sim.Millisecond, 4096) })
+	vc.LaunchMPI(6000, job.app)
 	b.k.RunFor(2 * sim.Second)
 	res := b.checkpointOnce(vc, 10*sim.Minute)
-	out := lscTrialResult{}
 	if res == nil {
-		out.reason = "checkpoint never completed"
-		return out
+		return lscTrialResult{}
 	}
-	out.skew = res.SaveSkew
-	out.downtime = res.Downtime
-	out.attempts = res.Attempts
-	if !res.OK {
-		out.reason = res.Reason
-		return out
-	}
-	if err := core.InspectImages(res.Images); err != nil {
-		out.reason = err.Error()
-		return out
-	}
-	js := b.runJob(vc, 2*sim.Hour)
-	if !js.AllOK() {
-		out.reason = "job failed after restore"
+	out := lscTrialResult{committed: res.OK, skew: res.SaveSkew, downtime: res.Downtime}
+	if !res.OK || core.InspectImages(res.Images) != nil || !core.AwaitJob(b.k, vc, job.limit).AllOK() {
 		return out
 	}
 	for _, app := range vc.RankApps() {
-		h, ok := app.(*hpcc.Halo)
-		if !ok || !h.Finished {
-			out.reason = "rank did not finish"
+		if !job.rankOK(app) {
 			return out
 		}
 	}

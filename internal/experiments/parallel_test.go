@@ -20,31 +20,57 @@ import (
 // kernels never cross goroutines, and results (and child traces) merge
 // in trial-index order on the caller's goroutine.
 
-// e2Parallel runs a scaled-down traced E2 at the given pool size and
-// returns every byte it externalizes: the printed tables, the shape
-// checks, the serialized JSONL trace, and the registry snapshot.
-func e2Parallel(t *testing.T, seed int64, parallel int) (tables []byte, checks []Check, trace []byte, registry string) {
-	t.Helper()
+// e2Run is every byte a traced E2 run externalizes: the printed tables,
+// the shape checks, the serialized JSONL trace, the registry and series
+// snapshots, and the number of records traced.
+type e2Run struct {
+	tables   []byte
+	checks   []Check
+	trace    []byte
+	registry string
+	series   []byte
+	records  int
+}
+
+// e2Parallel runs a scaled-down (Trials: 2) memory-traced E2 at the given
+// pool size.
+func e2Parallel(seed int64, parallel int) (e2Run, error) {
 	tr := obs.NewTracer()
 	var tbl bytes.Buffer
 	res, err := Run("E2", Options{Seed: seed, Trials: 2, Parallel: parallel, Out: &tbl, Tracer: tr})
 	if err != nil {
-		t.Fatal(err)
+		return e2Run{}, err
 	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	var trace, series bytes.Buffer
+	if err := tr.WriteJSONL(&trace); err != nil {
+		return e2Run{}, err
 	}
-	return tbl.Bytes(), res.Checks, buf.Bytes(), tr.Registry().Table().String()
+	if err := tr.Series().WriteJSONL(&series); err != nil {
+		return e2Run{}, err
+	}
+	return e2Run{tbl.Bytes(), res.Checks, trace.Bytes(), tr.Registry().Table().String(), series.Bytes(), tr.Len()}, nil
+}
+
+// e2SerialRef is the serial memory-traced run the parallel and streaming
+// equivalence tests compare against.
+var e2SerialRef memo[e2Run]
+
+func refE2Serial(t *testing.T) e2Run {
+	t.Helper()
+	return e2SerialRef.get(t, func() (e2Run, error) { return e2Parallel(replaySeed, 1) })
 }
 
 // TestParallelMatchesSerial: same seed, Parallel=1 (inline, no
 // goroutines) vs Parallel=4 (worker pool) — every external byte must
 // match.
 func TestParallelMatchesSerial(t *testing.T) {
-	const seed = 20070917
-	tabS, checksS, traceS, regS := e2Parallel(t, seed, 1)
-	tabP, checksP, traceP, regP := e2Parallel(t, seed, 4)
+	serial := refE2Serial(t)
+	par, err := e2Parallel(replaySeed, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabS, checksS, traceS, regS := serial.tables, serial.checks, serial.trace, serial.registry
+	tabP, checksP, traceP, regP := par.tables, par.checks, par.trace, par.registry
 
 	if !bytes.Equal(tabS, tabP) {
 		t.Errorf("experiment tables differ between serial and parallel runs:\n--- serial ---\n%s\n--- parallel ---\n%s", tabS, tabP)

@@ -4,16 +4,12 @@ import (
 	"fmt"
 
 	"dvc/internal/core"
-	"dvc/internal/hpcc"
 	"dvc/internal/metrics"
-	"dvc/internal/mpi"
 	"dvc/internal/netsim"
 	"dvc/internal/obs"
 	"dvc/internal/phys"
 	"dvc/internal/sim"
 	"dvc/internal/sim/partition"
-	"dvc/internal/storage"
-	"dvc/internal/vm"
 )
 
 func init() {
@@ -121,13 +117,17 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 		// Independent seed per sub-kernel: the partition's whole RNG
 		// stream is private, so its schedule cannot depend on any other
 		// partition's draw order.
-		k := sim.NewKernel(seed + int64(d)*1_000_003)
-		site := phys.DefaultSite(k)
-		if _, err := phys.BuildTopoZones(site, topoSpec, d); err != nil {
+		var err error
+		b := makeBed(seed+int64(d)*1_000_003, bedOptions{
+			topo: func(site *phys.Site) { _, err = phys.BuildTopoZones(site, topoSpec, d) },
+			lsc:  core.DefaultNTPLSC(),
+			ntp:  true,
+		})
+		if err != nil {
 			o.err = err
 			return
 		}
-		site.NTP.Start()
+		k, site := b.k, b.site
 		p.Bind(k)
 		nm.Bind(p, site.Fabric) //lint:allow fleetscope NetMap reaches the per-partition fabrics by design; Bind writes only this partition's own slot and Forward closures execute on the destination's goroutine under the exchange protocol
 		ctr := children[d]
@@ -141,36 +141,20 @@ func RunScalePartitioned(seed int64, spec ScaleSpec, workers int, tr *obs.Tracer
 			t := t
 			k.At(t, func() { site.Fabric.Send(netsim.Packet{Src: self, Dst: next, Size: 128}) })
 		}
-
-		store := storage.New(k, storage.DefaultConfig())
-		mgr := core.NewManager(k, site, store, vm.DefaultXenConfig())
+		// The tracer attaches after the pings are queued, so the probe's
+		// first sample counts them as pending.
 		if ctr != nil {
-			mgr.SetTracer(ctr)
-			obs.StartKernelProbe(k, ctr, probeInterval)
+			b.trace(ctr)
 		}
-		co := core.NewCoordinator(mgr, core.DefaultNTPLSC())
-		b := &bed{k: k, site: site, store: store, mgr: mgr, co: co}
-		vc, err := mgr.Allocate(core.VCSpec{Name: fmt.Sprintf("pscale-%02d", d), Nodes: vms, VMRAM: vmRAM}, nil)
+		run, err := b.runRefJob(fmt.Sprintf("pscale-%02d", d), vms)
 		if err != nil {
-			o.err = fmt.Errorf("experiments: pscale allocation on %s failed: %w", spec, err)
+			o.err = fmt.Errorf("experiments: pscale run on %s: %w", spec, err)
 			return
 		}
-		k.RunFor(vm.DefaultXenConfig().BootTime + sim.Second)
-		if vc.State() != core.VCReady {
-			o.err = fmt.Errorf("experiments: pscale VC not ready on %s", spec)
-			return
-		}
-		if _, err := vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) }); err != nil {
-			o.err = err
-			return
-		}
-		k.RunFor(2 * sim.Second)
-		ckpt := b.checkpointOnce(vc, 10*sim.Minute)
-		js := b.runJob(vc, 4*sim.Hour)
-		o.jobOK = js.AllOK()
-		if ckpt != nil && ckpt.OK {
-			o.ckptOK = core.InspectImages(ckpt.Images) == nil
-			o.skew = ckpt.SaveSkew
+		o.jobOK = run.job.AllOK()
+		o.ckptOK = run.imagesOK
+		if run.ckpt != nil && run.ckpt.OK {
+			o.skew = run.ckpt.SaveSkew
 		}
 		// Every partition holds to the common horizon so late pings land
 		// on a live kernel; a partition whose job already ran longer

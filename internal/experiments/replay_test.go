@@ -6,14 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"dvc/internal/core"
 	"dvc/internal/guest"
-	"dvc/internal/hpcc"
-	"dvc/internal/mpi"
 	"dvc/internal/obs"
-	"dvc/internal/sim"
 )
 
 // These tests are the executable form of the kernel's core promise
@@ -24,22 +22,54 @@ import (
 // where the race detector doubles as proof that no hidden concurrency
 // has crept into the replayed path.
 
+// replaySeed is the seed every replay and equivalence test runs E2 at
+// (CLUSTER 2007).
+const replaySeed = 20070917
+
+// memo memoises one reference run per test binary, so tests that compare
+// against the same reference share it. Only a reference is shared: the
+// run a test compares it with is always computed fresh. A memoised value
+// is read-only; a tracer that is later flushed or mutated is never put
+// in one.
+type memo[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+// get runs run on first use and returns its result ever after.
+func (m *memo[T]) get(t *testing.T, run func() (T, error)) T {
+	t.Helper()
+	m.once.Do(func() { m.v, m.err = run() })
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.v
+}
+
 // e2MetricsDigest runs a scaled-down E2 (the paper's LSC checkpoint
 // experiment) and hashes every byte the experiment serializes: tables,
 // check lines, details.
-func e2MetricsDigest(t *testing.T, seed int64) string {
-	t.Helper()
+func e2MetricsDigest(seed int64) (string, error) {
 	var buf bytes.Buffer
 	res, err := Run("E2", Options{Seed: seed, Trials: 1, Out: &buf})
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	h := sha256.New()
 	h.Write(buf.Bytes())
 	for _, c := range res.Checks {
 		fmt.Fprintf(h, "check %s ok=%v detail=%s\n", c.Name, c.OK, c.Detail)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// e2MetricsRef is the first metrics digest at replaySeed.
+var e2MetricsRef memo[string]
+
+func refE2MetricsDigest(t *testing.T) string {
+	t.Helper()
+	return e2MetricsRef.get(t, func() (string, error) { return e2MetricsDigest(replaySeed) })
 }
 
 // lscEventDigest runs one LSC checkpoint trial directly on a bed and
@@ -61,20 +91,17 @@ func e2MetricsDigest(t *testing.T, seed int64) string {
 func lscEventDigest(t *testing.T, seed int64) string {
 	t.Helper()
 	const nodes = 8
-	b := newBed(seed, map[string]int{"alpha": nodes}, core.DefaultNTPLSC(), true)
-	vc := b.allocate("replay", nodes, guest.WatchdogConfig{})
-	vc.LaunchMPI(6000, func(int) mpi.App { return hpcc.NewHalo(600, 20*sim.Millisecond, 4096) })
-	b.k.RunFor(2 * sim.Second)
-	res := b.checkpointOnce(vc, 10*sim.Minute)
-	if res == nil || !res.OK {
-		t.Fatalf("reference checkpoint failed: %+v", res)
+	b := makeBed(seed, bedOptions{clusters: map[string]int{"alpha": nodes}, lsc: core.DefaultNTPLSC(), ntp: true})
+	run, err := b.runRefJob("replay", nodes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := core.InspectImages(res.Images); err != nil {
-		t.Fatalf("image consistency: %v", err)
+	res := run.ckpt
+	if !run.imagesOK {
+		t.Fatalf("reference checkpoint failed or its images are inconsistent: %+v", res)
 	}
-	js := b.runJob(vc, 4*sim.Hour)
-	if !js.AllOK() {
-		t.Fatalf("reference job failed: %+v", js)
+	if !run.job.AllOK() {
+		t.Fatalf("reference job failed: %+v", run.job)
 	}
 
 	h := sha256.New()
@@ -102,30 +129,55 @@ func lscEventDigest(t *testing.T, seed int64) string {
 
 // TestSeedReplayMetricsDigest: same seed, twice, byte-identical metrics.
 func TestSeedReplayMetricsDigest(t *testing.T) {
-	const seed = 20070917 // CLUSTER 2007
-	first := e2MetricsDigest(t, seed)
-	second := e2MetricsDigest(t, seed)
+	const seed = replaySeed
+	first := refE2MetricsDigest(t)
+	second, err := e2MetricsDigest(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if first != second {
 		t.Fatalf("E2 serialized metrics diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
 			seed, first, second)
 	}
 }
 
+// e2Trace is a traced E2 run: the JSONL trace and its digest.
+type e2Trace struct {
+	digest string
+	raw    []byte
+}
+
 // e2TraceDigest runs the scaled-down E2 with a fresh tracer attached and
-// hashes the serialized JSONL event trace, returning the digest and the
-// trace bytes.
-func e2TraceDigest(t *testing.T, seed int64) (string, []byte) {
-	t.Helper()
+// hashes the serialized JSONL event trace.
+func e2TraceDigest(seed int64) (e2Trace, error) {
 	tr := obs.NewTracer()
 	if _, err := Run("E2", Options{Seed: seed, Trials: 1, Tracer: tr}); err != nil {
-		t.Fatal(err)
+		return e2Trace{}, err
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+		return e2Trace{}, err
 	}
 	h := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(h[:]), buf.Bytes()
+	return e2Trace{digest: hex.EncodeToString(h[:]), raw: buf.Bytes()}, nil
+}
+
+// e2TraceRef is the first traced run at replaySeed.
+var e2TraceRef memo[e2Trace]
+
+func refE2Trace(t *testing.T) e2Trace {
+	t.Helper()
+	return e2TraceRef.get(t, func() (e2Trace, error) { return e2TraceDigest(replaySeed) })
+}
+
+// freshE2Trace is e2TraceDigest failing t on error.
+func freshE2Trace(t *testing.T, seed int64) e2Trace {
+	t.Helper()
+	r, err := e2TraceDigest(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // TestSeedReplayTraceDigest: the full observability trace — every event
@@ -136,14 +188,15 @@ func e2TraceDigest(t *testing.T, seed int64) (string, []byte) {
 // must diverge, proving the trace observes the run rather than a
 // constant schedule.
 func TestSeedReplayTraceDigest(t *testing.T) {
-	const seed = 20070917
-	first, raw := e2TraceDigest(t, seed)
-	second, _ := e2TraceDigest(t, seed)
+	const seed = replaySeed
+	ref := refE2Trace(t)
+	first, raw := ref.digest, ref.raw
+	second := freshE2Trace(t, seed).digest
 	if first != second {
 		t.Fatalf("JSONL trace diverged between two runs with seed %d:\n  run 1: %s\n  run 2: %s",
 			seed, first, second)
 	}
-	if other, _ := e2TraceDigest(t, seed+1); other == first {
+	if other := freshE2Trace(t, seed+1).digest; other == first {
 		t.Fatalf("trace digest for seed %d equals seed %d: trace is not sensitive to the run", seed, seed+1)
 	}
 	for _, want := range []string{
@@ -172,7 +225,7 @@ func TestSeedReplayTraceDigest(t *testing.T) {
 // event digests; a different seed must (overwhelmingly) diverge, proving
 // the digest actually observes the run.
 func TestSeedReplayEventDigest(t *testing.T) {
-	const seed = 20070917
+	const seed = replaySeed
 	first := lscEventDigest(t, seed)
 	second := lscEventDigest(t, seed)
 	if first != second {
@@ -204,13 +257,14 @@ const (
 
 // TestSeedReplayDigestsMatchPinnedBaseline: the digests are not merely
 // self-consistent across two runs — they equal the recorded pre-rewrite
-// baseline, proving the data-plane rewrite is behaviour-preserving.
+// baseline, proving the data-plane rewrite is behaviour-preserving. The
+// E2 digests are the replay tests' memoised first runs.
 func TestSeedReplayDigestsMatchPinnedBaseline(t *testing.T) {
-	const seed = 20070917
-	if got := e2MetricsDigest(t, seed); got != pinnedE2MetricsDigest {
+	const seed = replaySeed
+	if got := refE2MetricsDigest(t); got != pinnedE2MetricsDigest {
 		t.Errorf("E2 metrics digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedE2MetricsDigest)
 	}
-	if got, _ := e2TraceDigest(t, seed); got != pinnedE2TraceDigest {
+	if got := refE2Trace(t).digest; got != pinnedE2TraceDigest {
 		t.Errorf("E2 JSONL trace digest moved off the pinned baseline:\n  got  %s\n  want %s", got, pinnedE2TraceDigest)
 	}
 	if got := lscEventDigest(t, seed); got != pinnedLSCEventDigest {

@@ -11,49 +11,73 @@ import (
 // experiment writing through the streaming JSONL sink must externalize
 // byte-identical output to the memory-backed tracer, at any Parallel
 // value, while retaining no records — peak tracer memory is the sink's
-// fixed buffer plus the currently-splicing child, not the full trace.
+// fixed buffer plus the child trace being merged, not the full trace.
+
+// e2Stream is what a streamed E2 run externalizes, plus the tracer
+// state the bounded-memory contract is judged on.
+type e2Stream struct {
+	out        []byte
+	retained   []obs.Record // what the tracer kept (must be nil)
+	records    int
+	registry   string
+	series     []byte
+	seriesRows int
+}
 
 // e2Streamed runs the scaled-down traced E2 with a streaming JSONL sink
-// (deliberately tiny buffer to force many mid-run flushes) and returns
-// the streamed bytes plus the tracer for state assertions.
-func e2Streamed(t *testing.T, seed int64, parallel, bufSize int) ([]byte, *obs.Tracer) {
-	t.Helper()
+// (deliberately tiny buffer to force many mid-run flushes).
+func e2Streamed(seed int64, parallel, bufSize int) (e2Stream, error) {
 	var out bytes.Buffer
 	tr := obs.NewTracerWithSink(obs.NewJSONLSink(&out, bufSize))
 	var tbl bytes.Buffer
 	if _, err := Run("E2", Options{Seed: seed, Trials: 2, Parallel: parallel, Out: &tbl, Tracer: tr}); err != nil {
-		t.Fatal(err)
+		return e2Stream{}, err
 	}
 	if err := tr.Flush(); err != nil {
+		return e2Stream{}, err
+	}
+	var series bytes.Buffer
+	if err := tr.Series().WriteJSONL(&series); err != nil {
+		return e2Stream{}, err
+	}
+	return e2Stream{out.Bytes(), tr.Records(), tr.Len(), tr.Registry().Table().String(), series.Bytes(), tr.Series().Len()}, nil
+}
+
+// e2StreamedRef is the streamed Parallel: 4 run both streaming tests
+// compare against the serial memory reference.
+var e2StreamedRef memo[e2Stream]
+
+// streamedE2 returns the memoised run at Parallel 4 and a fresh one
+// otherwise.
+func streamedE2(t *testing.T, parallel int) e2Stream {
+	t.Helper()
+	run := func() (e2Stream, error) { return e2Streamed(replaySeed, parallel, 4096) }
+	if parallel == 4 {
+		return e2StreamedRef.get(t, run)
+	}
+	r, err := run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Bytes(), tr
+	return r
 }
 
 // TestStreamingSinkMatchesMemorySink: the memory tracer's WriteJSONL and
 // the streaming sink's output must agree byte for byte on a full E2 run,
 // serial and parallel alike.
 func TestStreamingSinkMatchesMemorySink(t *testing.T) {
-	const seed = 20070917
-
 	// Memory reference (serial).
-	memTr := obs.NewTracer()
-	var tbl bytes.Buffer
-	if _, err := Run("E2", Options{Seed: seed, Trials: 2, Parallel: 1, Out: &tbl, Tracer: memTr}); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := memTr.WriteJSONL(&want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Bytes()) == 0 {
+	mem := refE2Serial(t)
+	want := mem.trace
+	if len(want) == 0 {
 		t.Fatal("memory reference trace is empty")
 	}
 
 	for _, parallel := range []int{1, 4} {
-		got, tr := e2Streamed(t, seed, parallel, 4096)
-		if !bytes.Equal(got, want.Bytes()) {
-			ls, lp := bytes.Split(want.Bytes(), []byte("\n")), bytes.Split(got, []byte("\n"))
+		st := streamedE2(t, parallel)
+		got := st.out
+		if !bytes.Equal(got, want) {
+			ls, lp := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
 			for i := 0; i < len(ls) && i < len(lp); i++ {
 				if !bytes.Equal(ls[i], lp[i]) {
 					t.Fatalf("parallel=%d: streamed trace diverges at line %d:\n  memory:   %s\n  streamed: %s",
@@ -64,11 +88,11 @@ func TestStreamingSinkMatchesMemorySink(t *testing.T) {
 		}
 		// The bounded-memory half of the contract: the streaming tracer
 		// must not have retained the record stream.
-		if tr.Records() != nil {
-			t.Fatalf("parallel=%d: streaming tracer retained %d records", parallel, len(tr.Records()))
+		if st.retained != nil {
+			t.Fatalf("parallel=%d: streaming tracer retained %d records", parallel, len(st.retained))
 		}
-		if tr.Len() != memTr.Len() {
-			t.Fatalf("parallel=%d: streamed %d records, memory run recorded %d", parallel, tr.Len(), memTr.Len())
+		if st.records != mem.records {
+			t.Fatalf("parallel=%d: streamed %d records, memory run recorded %d", parallel, st.records, mem.records)
 		}
 	}
 }
@@ -76,27 +100,15 @@ func TestStreamingSinkMatchesMemorySink(t *testing.T) {
 // TestStreamedRegistryMatchesMemory: the registry and series travel the
 // same merge path as records; streaming must not change them.
 func TestStreamedRegistryMatchesMemory(t *testing.T) {
-	const seed = 20070917
-	memTr := obs.NewTracer()
-	var tbl bytes.Buffer
-	if _, err := Run("E2", Options{Seed: seed, Trials: 2, Parallel: 1, Out: &tbl, Tracer: memTr}); err != nil {
-		t.Fatal(err)
+	mem := refE2Serial(t)
+	st := streamedE2(t, 4)
+	if st.registry != mem.registry {
+		t.Fatalf("registry differs:\n--- streamed ---\n%s\n--- memory ---\n%s", st.registry, mem.registry)
 	}
-	_, st := e2Streamed(t, seed, 4, 4096)
-	if got, want := st.Registry().Table().String(), memTr.Registry().Table().String(); got != want {
-		t.Fatalf("registry differs:\n--- streamed ---\n%s\n--- memory ---\n%s", got, want)
+	if !bytes.Equal(st.series, mem.series) {
+		t.Fatalf("series differs:\n--- streamed ---\n%s\n--- memory ---\n%s", st.series, mem.series)
 	}
-	var a, b bytes.Buffer
-	if err := st.Series().WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := memTr.Series().WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("series differs:\n--- streamed ---\n%s\n--- memory ---\n%s", a.Bytes(), b.Bytes())
-	}
-	if st.Series().Len() == 0 {
+	if st.seriesRows == 0 {
 		t.Fatal("probe sampled no series rows during E2")
 	}
 }
